@@ -68,7 +68,10 @@ def daily_counts(spec: ChainSpec, rng: np.random.Generator | None = None) -> np.
         d for d in range(last_prefix_day, spec.n_days) if (d + 1) not in forced
     ]
     _distribute(adjustable, int(spec.total_blocks - c.sum()))
-    assert c.sum() == spec.total_blocks
+    if c.sum() != spec.total_blocks:
+        raise ValueError(
+            f"daily counts sum to {c.sum()}, not total_blocks={spec.total_blocks}"
+        )
     return c
 
 

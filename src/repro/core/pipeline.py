@@ -5,11 +5,14 @@ chain spec; ``measure_fixed`` / ``measure_sliding`` attach a window id
 and run the three-metric aggregation; the ``*_series`` helpers collect
 the per-window results to pandas sorted by window id (every series the
 paper plots is one such call). Collected series are memoized per
-(chain, seed, windowing) because several tables drill into the same
-series.
+(spec fingerprint, seed, windowing) because several tables drill into
+the same series.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import json
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -21,7 +24,7 @@ from repro.metrics.spark_metrics import decentralization_by_window
 from repro.windows.fixed import with_fixed_window
 from repro.windows.sliding import with_sliding_window
 
-_PRODUCER_CACHE: dict[tuple[str, int | None], DataFrame] = {}
+_PRODUCER_CACHE: dict[tuple[SparkSession, str, int | None], DataFrame] = {}
 _SERIES_CACHE: dict[tuple, pd.DataFrame] = {}
 
 
@@ -36,11 +39,20 @@ def clear_caches() -> None:
     _SERIES_CACHE.clear()
 
 
+def _fingerprint(spec: ChainSpec) -> str:
+    """Canonical text of every spec field (specs hold a dict, so are unhashable)."""
+    return json.dumps(dataclasses.asdict(spec), sort_keys=True)
+
+
 def producers(
     spark: SparkSession, spec: ChainSpec, seed: int | None = None
 ) -> DataFrame:
-    """Cached, persisted producer-credit DataFrame for a chain spec."""
-    key = (spec.name, seed)
+    """Cached, persisted producer-credit DataFrame for a chain spec.
+
+    Keyed on the owning session and every spec field, so a spec edited
+    with ``dataclasses.replace`` never gets another spec's chain.
+    """
+    key = (spark, _fingerprint(spec), seed)
     if key not in _PRODUCER_CACHE:
         df = block_producers(spark, spec, seed=seed).persist()
         df.count()  # materialize once so every downstream job reuses it
@@ -79,7 +91,7 @@ def fixed_series(
     spark: SparkSession, spec: ChainSpec, granularity: str, seed: int | None = None
 ) -> pd.DataFrame:
     """Memoized collected series for fixed windows."""
-    key = (spec.name, seed, "fixed", granularity)
+    key = (_fingerprint(spec), seed, "fixed", granularity)
     if key not in _SERIES_CACHE:
         _SERIES_CACHE[key] = collect_series(
             measure_fixed(producers(spark, spec, seed), granularity)
@@ -91,7 +103,7 @@ def sliding_series(
     spark: SparkSession, spec: ChainSpec, granularity: str, seed: int | None = None
 ) -> pd.DataFrame:
     """Memoized collected series for sliding windows (M = N/2)."""
-    key = (spec.name, seed, "sliding", granularity)
+    key = (_fingerprint(spec), seed, "sliding", granularity)
     if key not in _SERIES_CACHE:
         _SERIES_CACHE[key] = collect_series(
             measure_sliding(producers(spark, spec, seed), spec, granularity)

@@ -1,9 +1,11 @@
 """Decentralization metrics (paper §II.B, Eqs. 1–4).
 
-``reference`` holds numpy ground-truth implementations; the Spark
-versions in ``spark_metrics`` compute all three metrics per window with
-DataFrame aggregations and window functions; ``sql`` carries the
-engine-portable SQL used to cross-check Spark against DuckDB.
+``reference`` holds numpy ground-truth implementations;
+``spark_metrics`` computes all three metrics per window from one
+ascending sort of the per-(window, miner) counts and one aggregation
+(Nakamoto from the suffix sum ``T − cum + cnt``); ``sql`` carries the
+same single-sort query as engine-portable SQL, used to cross-check
+Spark against DuckDB.
 """
 
 from repro.metrics.reference import gini, nakamoto, shannon_entropy

@@ -54,6 +54,8 @@ def shannon_entropy(x) -> float:
 def nakamoto(x, threshold: float = NAKAMOTO_THRESHOLD) -> int:
     """Nakamoto coefficient (Eq. 4): minimum number of producers whose
     combined share reaches ``threshold`` (51 % by default)."""
+    if not 0 < threshold < 1:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     a = np.sort(_as_counts(x))[::-1]
     shares = np.cumsum(a) / a.sum()
     # First index with cumulative share >= threshold; the 1e-12 slack

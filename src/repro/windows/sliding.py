@@ -43,6 +43,10 @@ def with_sliding_window(
     """
     if step is None:
         step = window_size // 2
+    if step > window_size:
+        raise ValueError(
+            f"step {step} > window size {window_size} would skip blocks"
+        )
     n_windows = num_windows(total_blocks, window_size, step)
     if n_windows == 0:
         raise ValueError(

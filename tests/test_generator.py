@@ -1,5 +1,7 @@
 """Tests of the synthetic chain generator (numpy/pandas layer + Spark)."""
 
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -43,6 +45,13 @@ def test_daily_counts_honour_forced_day():
 def test_daily_counts_honour_forced_prefix():
     c = daily_counts(BITCOIN_2019)
     assert int(c[:13].sum()) == 1_980
+
+
+def test_daily_counts_reject_unreachable_total():
+    """A total the integer day counts cannot sum to raises, not asserts."""
+    spec = dataclasses.replace(TINY_2019, total_blocks=1_500.5)
+    with pytest.raises(ValueError, match="total_blocks"):
+        daily_counts(spec)
 
 
 def test_daily_counts_near_mean_rate():

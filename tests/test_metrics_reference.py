@@ -81,6 +81,12 @@ def test_nakamoto_custom_threshold():
     assert nakamoto([34, 33, 33], threshold=0.99) == 3
 
 
+@pytest.mark.parametrize("threshold", [0.0, 1.0, -0.2, 51])
+def test_nakamoto_threshold_outside_unit_interval_rejected(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        nakamoto([34, 33, 33], threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # property-based tests
 # ---------------------------------------------------------------------------

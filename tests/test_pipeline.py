@@ -1,5 +1,8 @@
 """End-to-end pipeline tests on the tiny chain."""
 
+import dataclasses
+from collections import Counter
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -17,6 +20,16 @@ def test_producers_cached_identity(spark, tiny_spec, tiny_df):
 def test_producers_distinct_per_seed(spark, tiny_spec, tiny_df):
     other = pipeline.producers(spark, tiny_spec, seed=123)
     assert other is not tiny_df
+
+
+def test_producers_cache_keyed_on_every_spec_field(spark, tiny_spec, tiny_df):
+    """An edited spec under the same name must not get the cached chain,
+    nor the series memoized for it."""
+    assert tiny_df.count() == 1_525  # 1,498 one-credit blocks + 12 + 15 anomaly credits
+    assert pipeline.fixed_series(spark, tiny_spec, "day")["n_credits"].sum() == 1_525
+    edited = dataclasses.replace(tiny_spec, coinbase_anomalies=())
+    assert pipeline.producers(spark, edited).count() == 1_500
+    assert pipeline.fixed_series(spark, edited, "day")["n_credits"].sum() == 1_500
 
 
 @pytest.mark.parametrize("granularity", ["day", "week", "month"])
@@ -112,3 +125,52 @@ def test_miner_share_sums_to_one_over_all_miners(spark, tiny_df):
     total = day1.count()
     top = day1.groupBy("miner").count().toPandas()
     assert top["count"].sum() == total
+
+
+# ---------------------------------------------------------------------------
+# executed plan: one count shuffle, one window sort, one input read
+# ---------------------------------------------------------------------------
+
+def _final_plan_node_names(jplan):
+    """Class names of every node in the final AQE plan: descends into
+    query stages, but not into reused exchanges (they ran elsewhere)."""
+    stack = [jplan]
+    while stack:
+        node = stack.pop()
+        name = node.getClass().getSimpleName()
+        yield name
+        if name == "AdaptiveSparkPlanExec":
+            stack.append(node.executedPlan())
+        elif name.endswith("QueryStageExec"):
+            stack.append(node.plan())
+        elif name != "ReusedExchangeExec":
+            children = node.children()
+            stack.extend(children.apply(i) for i in range(children.size()))
+
+
+def test_sliding_plan_sorts_once_and_reads_input_once(tiny_df, tiny_spec):
+    measured = pipeline.measure_sliding(tiny_df, tiny_spec, "day")
+    measured.collect()  # the final AQE plan exists only after execution
+    nodes = Counter(_final_plan_node_names(measured._jdf.queryExecution().executedPlan()))
+    assert nodes["ShuffleExchangeExec"] == 2
+    assert nodes["SortExec"] == 1
+    assert nodes["GenerateExec"] == 1
+    assert nodes["InMemoryTableScanExec"] == 1
+
+
+@pytest.mark.parametrize("aqe", ["true", "false"])
+@pytest.mark.parametrize("partitions", ["1", "64"])
+def test_per_window_output_independent_of_partitions_and_aqe(
+    spark, tiny_df, tiny_spec, partitions, aqe
+):
+    keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
+    before = {k: spark.conf.get(k) for k in keys}
+    baseline = pipeline.collect_series(pipeline.measure_sliding(tiny_df, tiny_spec, "day"))
+    try:
+        spark.conf.set(keys[0], partitions)
+        spark.conf.set(keys[1], aqe)
+        got = pipeline.collect_series(pipeline.measure_sliding(tiny_df, tiny_spec, "day"))
+    finally:
+        for k, v in before.items():
+            spark.conf.set(k, v)
+    pd.testing.assert_frame_equal(got, baseline, check_exact=True)

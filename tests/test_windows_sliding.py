@@ -142,6 +142,12 @@ def test_stream_shorter_than_window_rejected(blocks_sdf):
         with_sliding_window(blocks_sdf, 5, 10)
 
 
+def test_step_larger_than_window_rejected(blocks_sdf):
+    """Blocks between windows would belong to none: refuse, do not skip."""
+    with pytest.raises(ValueError, match="step 11 > window size 10"):
+        with_sliding_window(blocks_sdf, 100, 10, step=11)
+
+
 def test_explode_factor_is_at_most_two_for_half_step(tiny_df, tiny_spec):
     n = tiny_spec.sliding_sizes["day"]
     out = with_sliding_window(tiny_df, tiny_spec.total_blocks, n)
