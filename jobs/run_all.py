@@ -1,14 +1,16 @@
-"""Reproduce every table (T1–T8) in one Spark session.
+"""Reproduce tables T1–T8 (or a chosen subset) in one Spark session.
 
 Usage:
-    spark-submit jobs/run_all.py [output.md]
+    spark-submit jobs/run_all.py [--table T4 ...] [output.md]
 
-Prints each table as markdown; with an output path, also writes the
-combined report there (this is how the numbers in EXPERIMENTS.md were
+``--table`` may be repeated; without it every table is built. Prints
+each table as markdown; with an output path, also writes the combined
+report there (this is how the numbers in EXPERIMENTS.md were
 generated). One session is reused so the chain DataFrames and collected
 series are generated once and shared across tables.
 """
 
+import argparse
 import pathlib
 import sys
 
@@ -18,12 +20,13 @@ from _session import get_session
 from repro.core.tables import ALL_TABLES, to_markdown
 
 
-def main(out_path: str | None = None) -> None:
+def main(names: list[str], out_path: str | None) -> None:
     spark = get_session("repro-all-tables")
     spark.sparkContext.setLogLevel("ERROR")
     chunks = []
     try:
-        for name, builder in ALL_TABLES.items():
+        for name in names:
+            builder = ALL_TABLES[name]
             pdf = builder(spark)
             chunk = f"\n## Table {builder.__doc__.splitlines()[0].rstrip('.')}\n\n{to_markdown(pdf)}\n"
             print(chunk)
@@ -36,4 +39,9 @@ def main(out_path: str | None = None) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else None)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--table", action="append", choices=list(ALL_TABLES),
+                        help="table to build; repeatable (default: all, in order)")
+    parser.add_argument("out_path", nargs="?", help="also write the report here")
+    args = parser.parse_args()
+    main(args.table or list(ALL_TABLES), args.out_path)

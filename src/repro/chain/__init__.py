@@ -5,15 +5,3 @@ this package generates calibrated 2019 streams for Bitcoin and Ethereum
 whose mining-power distributions reproduce every population statistic
 the paper reports (see DESIGN.md §5 for the calibration).
 """
-
-from repro.chain.params import BITCOIN_2019, ETHEREUM_2019, ChainSpec
-from repro.chain.generator import block_producers, block_producers_pdf, daily_counts
-
-__all__ = [
-    "BITCOIN_2019",
-    "ETHEREUM_2019",
-    "ChainSpec",
-    "block_producers",
-    "block_producers_pdf",
-    "daily_counts",
-]

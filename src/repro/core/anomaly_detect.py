@@ -55,10 +55,3 @@ def detect_spikes(
     out = pdf.loc[mask].copy()
     out["z"] = z[mask]
     return out.sort_values("window_id").reset_index(drop=True)
-
-
-def detects(
-    pdf: pd.DataFrame, col: str, z_threshold: float = 4.0, direction: str = "both"
-) -> bool:
-    """True iff the series contains at least one flagged window."""
-    return not detect_spikes(pdf, col, z_threshold, direction).empty

@@ -66,17 +66,14 @@ def measure_fixed(df: DataFrame, granularity: str) -> DataFrame:
     return decentralization_by_window(windowed, "window_id")
 
 
-def measure_sliding(
-    df: DataFrame, spec: ChainSpec, granularity: str, step: int | None = None
-) -> DataFrame:
+def measure_sliding(df: DataFrame, spec: ChainSpec, granularity: str) -> DataFrame:
     """Per-window metrics over sliding windows of the paper's sizes.
 
     ``granularity`` selects N from ``spec.sliding_sizes`` (day/week/
-    month); ``step`` defaults to N/2 as in the paper.
+    month); the step is N/2 as in the paper.
     """
-    window_size = spec.sliding_sizes[granularity]
     windowed = with_sliding_window(
-        df, spec.total_blocks, window_size, step=step
+        df, spec.total_blocks, spec.sliding_sizes[granularity]
     )
     return decentralization_by_window(windowed, "window_id")
 

@@ -11,29 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-METRIC_COLS = ("gini", "entropy", "nakamoto")
-
-
-def summarize_series(pdf: pd.DataFrame, cols=METRIC_COLS) -> pd.DataFrame:
-    """Mean/std/min/quartiles/max per metric column of one series."""
-    rows = []
-    for c in cols:
-        v = pdf[c].to_numpy(dtype=float)
-        rows.append(
-            {
-                "metric": c,
-                "n": len(v),
-                "mean": float(np.mean(v)),
-                "std": float(np.std(v, ddof=0)),
-                "min": float(np.min(v)),
-                "p25": float(np.percentile(v, 25)),
-                "median": float(np.median(v)),
-                "p75": float(np.percentile(v, 75)),
-                "max": float(np.max(v)),
-            }
-        )
-    return pd.DataFrame(rows)
-
 
 def frac_in_range(pdf: pd.DataFrame, col: str, lo: float, hi: float) -> float:
     """Fraction of windows whose metric lies in [lo, hi] — the paper's

@@ -5,8 +5,8 @@ tabulate each claim as a row ``(item, paper, measured)`` where ``paper``
 is the value/range stated in the paper (string, verbatim-ish) and
 ``measured`` is the number this reproduction computes. Tests in
 ``tests/test_tables.py`` assert the ``measured`` column against
-tolerance bands; ``jobs/`` print these tables and EXPERIMENTS.md
-records them.
+tolerance bands; ``jobs/run_all.py`` prints these tables and
+EXPERIMENTS.md records them.
 
 All builders memoize through ``repro.core.pipeline``'s series cache, so
 building every table touches each (chain, windowing, granularity)
@@ -23,10 +23,8 @@ from repro.chain.params import BITCOIN_2019, ETHEREUM_2019
 from repro.core import pipeline
 from repro.core.anomaly_detect import detect_spikes
 from repro.core.summarize import frac_in_range, frac_in_set, mode_in_window_range
-from repro.windows.fixed import with_fixed_window
+from repro.windows.fixed import FIXED_GRANULARITIES, with_fixed_window
 from repro.windows.sliding import num_windows, with_sliding_window
-
-GRANULARITIES = ("day", "week", "month")
 
 
 def _rows_to_df(rows: list[tuple[str, str, float]]) -> pd.DataFrame:
@@ -132,7 +130,7 @@ def table4_btc_sliding(spark: SparkSession) -> pd.DataFrame:
     """T4 — Bitcoin with sliding windows (§III.B, Figs. 9, 11, 13)."""
     rows = []
     for metric in ("entropy", "gini"):
-        for g in GRANULARITIES:
+        for g in FIXED_GRANULARITIES:
             s = pipeline.sliding_series(spark, BITCOIN_2019, g)
             rows.append(
                 (f"sliding {metric} mean, N={BITCOIN_2019.sliding_sizes[g]}",
@@ -158,7 +156,7 @@ def table5_eth_sliding(spark: SparkSession) -> pd.DataFrame:
     """T5 — Ethereum with sliding windows (§III.B, Figs. 10, 12, 14)."""
     rows = []
     for metric in ("entropy", "gini"):
-        for g in GRANULARITIES:
+        for g in FIXED_GRANULARITIES:
             s = pipeline.sliding_series(spark, ETHEREUM_2019, g)
             rows.append(
                 (f"sliding {metric} mean, N={ETHEREUM_2019.sliding_sizes[g]}",
@@ -188,7 +186,7 @@ def table6_window_counts(spark: SparkSession) -> pd.DataFrame:
     }
     rows = []
     for spec in (BITCOIN_2019, ETHEREUM_2019):
-        for g in GRANULARITIES:
+        for g in FIXED_GRANULARITIES:
             n = spec.sliding_sizes[g]
             formula = num_windows(spec.total_blocks, n, n // 2)
             realized = len(pipeline.sliding_series(spark, spec, g))
@@ -291,10 +289,10 @@ ALL_TABLES = {
 }
 
 
-def to_markdown(pdf: pd.DataFrame, floatfmt: str = "{:.4f}") -> str:
+def to_markdown(pdf: pd.DataFrame) -> str:
     """Render a table as GitHub markdown (no external deps)."""
     body = pdf.copy()
-    body["measured"] = body["measured"].map(lambda v: floatfmt.format(v))
+    body["measured"] = body["measured"].map("{:.4f}".format)
     widths = {
         c: max(len(str(c)), *(len(str(v)) for v in body[c])) for c in body.columns
     }

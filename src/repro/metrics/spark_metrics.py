@@ -30,16 +30,12 @@ from pyspark.sql import functions as F
 NAKAMOTO_THRESHOLD_PCT = 51
 
 
-def per_window_counts(
-    df: DataFrame, window_col: str, miner_col: str = "miner"
-) -> DataFrame:
+def per_window_counts(df: DataFrame, window_col: str) -> DataFrame:
     """Producer credit counts per (window, miner): the NB_{A_i} of Eq. 1."""
-    return df.groupBy(window_col, miner_col).agg(F.count("*").alias("cnt"))
+    return df.groupBy(window_col, "miner").agg(F.count("*").alias("cnt"))
 
 
-def decentralization_by_window(
-    df: DataFrame, window_col: str, miner_col: str = "miner"
-) -> DataFrame:
+def decentralization_by_window(df: DataFrame, window_col: str) -> DataFrame:
     """All three metrics per window from one ascending sort of the counts.
 
     Output columns: ``window_col, n_miners, n_credits, gini, entropy,
@@ -47,9 +43,9 @@ def decentralization_by_window(
     """
     # Every window column shares this spec (the total too, via a whole-
     # partition frame), so Spark plans one Window operator over one sort.
-    w = Window.partitionBy(window_col).orderBy("cnt", miner_col)
+    w = Window.partitionBy(window_col).orderBy("cnt", "miner")
     cnt = F.col("cnt")
-    ranked = per_window_counts(df, window_col, miner_col).select(
+    ranked = per_window_counts(df, window_col).select(
         window_col,
         cnt,
         F.row_number().over(w).alias("rn"),

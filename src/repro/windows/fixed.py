@@ -17,9 +17,7 @@ from pyspark.sql import functions as F
 FIXED_GRANULARITIES = ("day", "week", "month")
 
 
-def with_fixed_window(
-    df: DataFrame, granularity: str, out_col: str = "window_id"
-) -> DataFrame:
+def with_fixed_window(df: DataFrame, granularity: str) -> DataFrame:
     """Attach the fixed-window id for a granularity.
 
     Expects the producer-credit relation columns ``day_of_year`` and
@@ -35,4 +33,4 @@ def with_fixed_window(
         raise ValueError(
             f"unknown granularity {granularity!r}; expected one of {FIXED_GRANULARITIES}"
         )
-    return df.withColumn(out_col, expr)
+    return df.withColumn("window_id", expr)

@@ -31,8 +31,6 @@ def with_sliding_window(
     total_blocks: int,
     window_size: int,
     step: int | None = None,
-    idx_col: str = "block_idx",
-    out_col: str = "window_id",
 ) -> DataFrame:
     """Explode each credit row into the sliding windows its block belongs to.
 
@@ -52,7 +50,7 @@ def with_sliding_window(
         raise ValueError(
             f"stream of {total_blocks} blocks shorter than window {window_size}"
         )
-    b = F.col(idx_col)
+    b = F.col("block_idx")
     lo = F.greatest(F.lit(0), F.ceil((b - window_size + 1) / step))
     hi = F.least(F.lit(n_windows - 1), F.floor(b / step))
     # sequence(lo, hi) would count *down* when lo > hi (trailing blocks
@@ -61,6 +59,6 @@ def with_sliding_window(
         F.array().cast("array<bigint>")
     )
     return (
-        df.withColumn(out_col, F.explode(members))
-        .withColumn(out_col, F.col(out_col).cast("int"))
+        df.withColumn("window_id", F.explode(members))
+        .withColumn("window_id", F.col("window_id").cast("int"))
     )

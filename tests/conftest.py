@@ -3,7 +3,7 @@
 ``TINY_2019`` is a 30-day miniature chain (same generator code paths:
 two regimes, a coinbase anomaly, a boundary-straddling surge) for fast
 unit tests; the full calibrated BTC/ETH specs are exercised by the
-table tests and benchmarks.
+table tests.
 """
 
 import pytest

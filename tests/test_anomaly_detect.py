@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.anomaly_detect import detect_spikes, detects, robust_z
+from repro.core.anomaly_detect import detect_spikes, robust_z
 
 
 def _series(values):
@@ -52,12 +52,7 @@ def test_detect_both_directions():
 def test_detect_nothing_on_smooth_series():
     rng = np.random.default_rng(0)
     s = _series(rng.normal(4, 0.1, 200))
-    assert not detects(s, "x", z_threshold=6)
-
-
-def test_detects_flag():
-    assert detects(_series([1] * 30 + [100]), "x", z_threshold=4)
-    assert not detects(_series([1] * 31), "x", z_threshold=4)
+    assert detect_spikes(s, "x", z_threshold=6).empty
 
 
 def test_unknown_direction_rejected():

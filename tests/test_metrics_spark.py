@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pyspark.sql import Window
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.metrics import sql as msql
 from repro.metrics.reference import gini, nakamoto, shannon_entropy
 from repro.metrics.spark_metrics import (
@@ -255,16 +254,21 @@ def test_kernel_matches_reference_on_random_counts(spark, windows):
         assert row["nakamoto"] == nakamoto(cs)
         assert (row["n_miners"], row["n_credits"]) == (len(cs), sum(cs))
 
-def test_metrics_on_synth_data_keys(spark):
-    """Tie-in with the provided synth_data generators: zipf-distributed
-    keys must measure as materially less equal than uniform keys."""
-    z = synth_data.zipf_keys(spark, n=5_000, n_keys=200, alpha=1.4, seed=7)
-    u = synth_data.uniform_keys(spark, n=5_000, n_keys=200, seed=7)
-    def as_credits(df):
-        return df.select(F.lit(0).alias("window_id"), F.col("k").cast("string").alias("miner"))
 
-    gz = decentralization_by_window(as_credits(z), "window_id").collect()[0]
-    gu = decentralization_by_window(as_credits(u), "window_id").collect()[0]
+def test_metrics_on_synth_data_keys(spark):
+    """Synthetic numpy keys as miners: 5,000 credits over 200 keys drawn
+    zipf (alpha 1.4) must measure as materially less equal than uniform."""
+    g = np.random.default_rng(7)
+    ranks = np.arange(1, 201)
+    weights = 1.0 / ranks**1.4
+    zipf = g.choice(ranks, size=5_000, p=weights / weights.sum())
+    uniform = g.integers(1, 201, 5_000)
+
+    def measure(keys):
+        pdf = pd.DataFrame({"window_id": 0, "miner": keys.astype(str)})
+        return decentralization_by_window(spark.createDataFrame(pdf), "window_id").collect()[0]
+
+    gz, gu = measure(zipf), measure(uniform)
     assert gz["gini"] > gu["gini"] + 0.1
     assert gz["entropy"] < gu["entropy"]
     assert gz["nakamoto"] < gu["nakamoto"]

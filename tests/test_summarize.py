@@ -1,6 +1,5 @@
 """Unit tests for the series summary helpers."""
 
-import numpy as np
 import pandas as pd
 import pytest
 
@@ -8,7 +7,6 @@ from repro.core.summarize import (
     frac_in_range,
     frac_in_set,
     mode_in_window_range,
-    summarize_series,
 )
 
 
@@ -22,21 +20,6 @@ def series():
             "nakamoto": [4, 4, 4, 5, 5, 4, 4, 2, 4, 4],
         }
     )
-
-
-def test_summarize_series_stats(series):
-    s = summarize_series(series).set_index("metric")
-    assert s.loc["gini", "mean"] == pytest.approx(0.55)
-    assert s.loc["gini", "min"] == 0.1
-    assert s.loc["gini", "max"] == 1.0
-    assert s.loc["gini", "median"] == pytest.approx(0.55)
-    assert s.loc["entropy", "std"] == pytest.approx(0.5)
-    assert s.loc["nakamoto", "n"] == 10
-
-
-def test_summarize_custom_columns(series):
-    s = summarize_series(series, cols=("gini",))
-    assert list(s["metric"]) == ["gini"]
 
 
 def test_frac_in_range(series):

@@ -82,11 +82,6 @@ def test_unknown_granularity_rejected(year_sdf):
         with_fixed_window(year_sdf, "fortnight")
 
 
-def test_custom_output_column(year_sdf):
-    out = with_fixed_window(year_sdf, "day", out_col="w")
-    assert "w" in out.columns
-
-
 def test_windows_partition_tiny_chain(tiny_df, tiny_spec):
     """On a real generated chain, fixed day windows partition all credits
     and cover every day of the chain."""

@@ -152,10 +152,3 @@ def test_explode_factor_is_at_most_two_for_half_step(tiny_df, tiny_spec):
     n = tiny_spec.sliding_sizes["day"]
     out = with_sliding_window(tiny_df, tiny_spec.total_blocks, n)
     assert out.count() <= 2 * tiny_df.count()
-
-
-def test_custom_columns(blocks_sdf):
-    out = with_sliding_window(
-        blocks_sdf.withColumnRenamed("block_idx", "b"), 100, 10, idx_col="b", out_col="w"
-    )
-    assert {"b", "w"} <= set(out.columns)
