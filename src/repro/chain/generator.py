@@ -196,15 +196,52 @@ def block_producers_pdf(spec: ChainSpec, seed: int | None = None) -> pd.DataFram
     )
 
 
+def check_producers_pdf(pdf: pd.DataFrame, spec: ChainSpec) -> None:
+    """Raise ``ValueError`` unless ``pdf`` is a valid producer-credit relation.
+
+    Every credit names a miner (no null or empty label), the ``block_idx``
+    values are exactly ``0 … total_blocks − 1`` (so every block has at
+    least one credit, which the sliding-window arithmetic relies on), and
+    ``block_number == start_block + block_idx``. O(rows) numpy checks.
+    """
+    miner = pdf["miner"].to_numpy()
+    bad = pd.isna(miner) | (miner == "")
+    if bad.any():
+        raise ValueError(
+            f"{spec.name}: {int(bad.sum())} credit(s) with a null or empty miner, "
+            f"first at row {int(bad.argmax())}"
+        )
+    idx = pdf["block_idx"].to_numpy()
+    total = spec.total_blocks
+    if len(idx) == 0 or idx.min() < 0 or idx.max() >= total:
+        raise ValueError(
+            f"{spec.name}: block_idx must lie in 0 … {total - 1} (total_blocks={total})"
+        )
+    missing = np.flatnonzero(np.bincount(idx, minlength=total) == 0)
+    if len(missing):
+        raise ValueError(
+            f"{spec.name}: block_idx is not contiguous: {len(missing)} of "
+            f"{total} blocks have no credit, first {int(missing[0])}"
+        )
+    off = pdf["block_number"].to_numpy() != spec.start_block + idx
+    if off.any():
+        raise ValueError(
+            f"{spec.name}: block_number != start_block + block_idx "
+            f"at {int(off.sum())} row(s), first at row {int(off.argmax())}"
+        )
+
+
 def block_producers(
     spark: SparkSession, spec: ChainSpec, seed: int | None = None
 ) -> DataFrame:
     """Spark producer-credit DataFrame for a chain-year.
 
     Adds ``chain`` and calendar ``date`` columns on top of
-    :func:`block_producers_pdf`.
+    :func:`block_producers_pdf`, after :func:`check_producers_pdf` has
+    accepted the frame.
     """
     pdf = block_producers_pdf(spec, seed=seed)
+    check_producers_pdf(pdf, spec)
     return (
         spark.createDataFrame(pdf)
         .withColumn("chain", F.lit(spec.name))

@@ -51,10 +51,21 @@ def producers(
 
     Keyed on the owning session and every spec field, so a spec edited
     with ``dataclasses.replace`` never gets another spec's chain.
+
+    Persisted with at most one partition per core. A frame above Arrow's
+    48 MB local-relation threshold arrives as one partition per
+    10,000-row batch (221 for the ETH year), and every later scan would
+    run one map task per partition, each writing its own partial
+    per-(window, miner) counts to the shuffle. The narrow ``coalesce``
+    merges neighbouring batches without a shuffle.
     """
     key = (spark, _fingerprint(spec), seed)
     if key not in _PRODUCER_CACHE:
-        df = block_producers(spark, spec, seed=seed).persist()
+        df = (
+            block_producers(spark, spec, seed=seed)
+            .coalesce(spark.sparkContext.defaultParallelism)
+            .persist()
+        )
         df.count()  # materialize once so every downstream job reuses it
         _PRODUCER_CACHE[key] = df
     return _PRODUCER_CACHE[key]

@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.chain import generator
 from repro.core import pipeline
 from repro.metrics.reference import gini, nakamoto, shannon_entropy
 from repro.windows.fixed import with_fixed_window
@@ -30,6 +31,96 @@ def test_producers_cache_keyed_on_every_spec_field(spark, tiny_spec, tiny_df):
     edited = dataclasses.replace(tiny_spec, coinbase_anomalies=())
     assert pipeline.producers(spark, edited).count() == 1_500
     assert pipeline.fixed_series(spark, edited, "day")["n_credits"].sum() == 1_500
+
+
+def test_producers_one_partition_per_core(spark, tiny_spec):
+    """An Arrow transfer above the local-relation threshold (the ETH year)
+    makes one partition per record batch; the persisted chain holds at
+    most one per core and gives the same per-window series."""
+    cores = spark.sparkContext.defaultParallelism
+    conf = {
+        "spark.sql.execution.arrow.localRelationThreshold": "0",
+        "spark.sql.execution.arrow.maxRecordsPerBatch": str(
+            max(1, tiny_spec.total_blocks // (4 * cores))
+        ),
+    }
+    before = {k: spark.conf.get(k) for k in conf}
+    seed = 2_024  # built nowhere else, so producers() ingests it under this conf
+    try:
+        for k, v in conf.items():
+            spark.conf.set(k, v)
+        batches = generator.block_producers(spark, tiny_spec, seed=seed)
+        chain = pipeline.producers(spark, tiny_spec, seed=seed)
+    finally:
+        for k, v in before.items():
+            spark.conf.set(k, v)
+    assert batches.rdd.getNumPartitions() > cores  # many Arrow batches arrived
+    assert chain.rdd.getNumPartitions() <= cores
+    for measure in (
+        lambda df: pipeline.measure_fixed(df, "day"),
+        lambda df: pipeline.measure_sliding(df, tiny_spec, "day"),
+    ):
+        pd.testing.assert_frame_equal(
+            pipeline.collect_series(measure(chain)),
+            pipeline.collect_series(measure(batches)),
+            check_exact=False, rtol=0, atol=1e-9,  # integer columns: exact
+        )
+
+
+# ---------------------------------------------------------------------------
+# producer-relation contract, checked before the Arrow transfer
+# ---------------------------------------------------------------------------
+
+def _ingest_broken(spark, spec, monkeypatch, edit):
+    """Ingest ``spec``'s chain after ``edit`` has broken its pandas frame."""
+    orig = generator.block_producers_pdf
+
+    def broken(spec, seed=None):
+        pdf = orig(spec, seed=seed)
+        edit(pdf)
+        return pdf
+
+    monkeypatch.setattr(generator, "block_producers_pdf", broken)
+    return pipeline.producers(spark, spec, seed=4_040)  # uncached: calls the generator
+
+
+@pytest.mark.parametrize("label", [None, ""], ids=["null", "empty"])
+def test_producers_reject_missing_miner(spark, tiny_spec, monkeypatch, label):
+    def edit(pdf):
+        pdf.loc[3, "miner"] = label
+
+    with pytest.raises(ValueError, match="null or empty miner, first at row 3"):
+        _ingest_broken(spark, tiny_spec, monkeypatch, edit)
+
+
+def _drop_block(pdf, block):
+    pdf.drop(pdf.index[pdf.block_idx == block], inplace=True)
+
+
+def _block_past_end(pdf):
+    pdf.loc[pdf.index[-1], ["block_idx", "block_number"]] += 1
+
+
+@pytest.mark.parametrize(
+    ("edit", "match"),
+    [
+        (lambda pdf: _drop_block(pdf, 10), "not contiguous: 1 of 1500 blocks have no credit, first 10"),
+        (lambda pdf: _drop_block(pdf, 0), "not contiguous: 1 of 1500 blocks have no credit, first 0"),
+        (_block_past_end, r"block_idx must lie in 0 … 1499"),
+    ],
+    ids=["gap", "first-block", "past-end"],
+)
+def test_producers_reject_noncontiguous_block_idx(spark, tiny_spec, monkeypatch, edit, match):
+    with pytest.raises(ValueError, match=match):
+        _ingest_broken(spark, tiny_spec, monkeypatch, edit)
+
+
+def test_producers_reject_block_number_off_start(spark, tiny_spec, monkeypatch):
+    def edit(pdf):
+        pdf.loc[5, "block_number"] += 1
+
+    with pytest.raises(ValueError, match=r"block_number != start_block \+ block_idx at 1 row"):
+        _ingest_broken(spark, tiny_spec, monkeypatch, edit)
 
 
 @pytest.mark.parametrize("granularity", ["day", "week", "month"])
