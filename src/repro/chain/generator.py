@@ -8,11 +8,14 @@ blocks contribute one credit to each of their one-off addresses (the
 attribution that reproduces the paper's day-14 statistics).
 
 Generation is fully vectorized numpy → pandas; ``block_producers``
-wraps the pandas frame in a Spark DataFrame. Everything is
-deterministic in ``seed`` (default: ``spec.seed``).
+ships the pandas frame to Spark with each miner label replaced by its
+64-bit :func:`label_id`. Everything is deterministic in ``seed``
+(default: ``spec.seed``).
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pandas as pd
@@ -23,6 +26,17 @@ from repro.chain.anomalies import apply_surges, resolve_coinbase_anomalies
 from repro.chain.params import ChainSpec
 
 _SECONDS_PER_DAY = 86_400
+
+
+def label_id(label: str) -> int:
+    """Stable signed 64-bit id of a miner label: its 8-byte BLAKE2b digest.
+
+    The Spark ``miner`` column holds these ids, so a name can be looked up
+    from the name alone. Unlike the built-in ``hash``, the value is the
+    same in every process and run.
+    """
+    digest = hashlib.blake2b(label.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big", signed=True)
 
 
 def daily_counts(spec: ChainSpec, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -190,22 +204,25 @@ def block_producers_pdf(spec: ChainSpec, seed: int | None = None) -> pd.DataFram
             "block_number": spec.start_block + rep,
             "block_idx": rep,
             "day_of_year": day_of_block[rep],
-            "ts": pd.to_datetime(ts),
+            "ts": pd.to_datetime(ts, unit="ns"),
             "miner": miner,
         }
     )
 
 
-def check_producers_pdf(pdf: pd.DataFrame, spec: ChainSpec) -> None:
+def check_producers_pdf(
+    pdf: pd.DataFrame, spec: ChainSpec, codes: np.ndarray, labels: pd.Index
+) -> None:
     """Raise ``ValueError`` unless ``pdf`` is a valid producer-credit relation.
 
-    Every credit names a miner (no null or empty label), the ``block_idx``
-    values are exactly ``0 … total_blocks − 1`` (so every block has at
-    least one credit, which the sliding-window arithmetic relies on), and
+    ``codes, labels`` is ``pd.factorize(pdf["miner"])``. Every credit
+    names a miner (no null or empty label), the ``block_idx`` values are
+    exactly ``0 … total_blocks − 1`` (so every block has at least one
+    credit, which the sliding-window arithmetic relies on), and
     ``block_number == start_block + block_idx``. O(rows) numpy checks.
     """
-    miner = pdf["miner"].to_numpy()
-    bad = pd.isna(miner) | (miner == "")
+    # factorize codes a null as -1, which picks the trailing True
+    bad = np.append(labels.to_numpy() == "", True)[codes]
     if bad.any():
         raise ValueError(
             f"{spec.name}: {int(bad.sum())} credit(s) with a null or empty miner, "
@@ -236,14 +253,27 @@ def block_producers(
 ) -> DataFrame:
     """Spark producer-credit DataFrame for a chain-year.
 
-    Adds ``chain`` and calendar ``date`` columns on top of
-    :func:`block_producers_pdf`, after :func:`check_producers_pdf` has
-    accepted the frame.
+    The columns of :func:`block_producers_pdf`, after
+    :func:`check_producers_pdf` has accepted the frame, except that
+    ``miner`` is the ``bigint`` :func:`label_id` of each label: Spark
+    counts and sorts 64-bit keys, and names stay in the pandas frame.
+    Adds ``chain`` and calendar ``date`` columns. One factorize serves
+    the check and the encoding, so only the distinct labels are hashed.
+    Raises ``ValueError`` if two labels share an id.
     """
     pdf = block_producers_pdf(spec, seed=seed)
-    check_producers_pdf(pdf, spec)
+    codes, labels = pd.factorize(pdf["miner"])
+    check_producers_pdf(pdf, spec, codes, labels)
+    ids = np.fromiter(map(label_id, labels), dtype=np.int64, count=len(labels))
+    dup = pd.Index(ids).duplicated()
+    if dup.any():
+        clash = ids[dup.argmax()]
+        a, b = labels[ids == clash][:2]
+        raise ValueError(
+            f"{spec.name}: miner labels {a!r} and {b!r} share label id {clash}"
+        )
     return (
-        spark.createDataFrame(pdf)
+        spark.createDataFrame(pdf.assign(miner=ids[codes]))
         .withColumn("chain", F.lit(spec.name))
         .withColumn("date", F.to_date("ts"))
     )

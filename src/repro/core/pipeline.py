@@ -18,7 +18,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.chain.generator import block_producers
+from repro.chain.generator import block_producers, label_id
 from repro.chain.params import ChainSpec
 from repro.metrics.spark_metrics import decentralization_by_window
 from repro.windows.fixed import with_fixed_window
@@ -49,6 +49,7 @@ def producers(
 ) -> DataFrame:
     """Cached, persisted producer-credit DataFrame for a chain spec.
 
+    ``miner`` holds 64-bit label ids (``generator.label_id``), not names.
     Keyed on the owning session and every spec field, so a spec edited
     with ``dataclasses.replace`` never gets another spec's chain.
 
@@ -123,13 +124,14 @@ def miner_share_series(window_df: DataFrame, miner: str) -> pd.DataFrame:
     """Per-window credit share of one miner (for surge drill-downs).
 
     ``window_df`` must be the windowed producer-credit relation (i.e.
-    after ``with_fixed_window`` / ``with_sliding_window``).
+    after ``with_fixed_window`` / ``with_sliding_window``). ``miner`` is
+    a label; the relation is filtered on its ``label_id``.
     """
     shares = (
         window_df.groupBy("window_id")
         .agg(
             (
-                F.sum(F.when(F.col("miner") == miner, 1).otherwise(0))
+                F.sum(F.when(F.col("miner") == label_id(miner), 1).otherwise(0))
                 / F.count("*")
             ).alias("share")
         )

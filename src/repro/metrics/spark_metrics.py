@@ -12,7 +12,8 @@ running count sum and ``T = Σcnt`` (all exact, no sampling):
 
 * **Gini** — rank identity ``G = 2·Σ rn·cnt / (n·T) − (n+1)/n``. Ties
   may be ranked in any strict order without changing the sum, so the
-  tie-break on miner label only fixes determinism.
+  tie-break on ``miner`` (a 64-bit label id on the ingested chains)
+  only fixes determinism.
 * **Shannon entropy** — ``E = log₂T − (Σ cnt·log₂cnt)/T``, the
   algebraic rearrangement of Eqs. 2–3 that needs no per-share column.
 * **Nakamoto** — ``suffix = T − cum + cnt`` is the count held by the

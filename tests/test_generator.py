@@ -11,6 +11,7 @@ from repro.chain.generator import (
     block_producers_pdf,
     daily_counts,
     day_probabilities,
+    label_id,
     miner_universe,
 )
 from repro.chain.params import BITCOIN_2019, ETHEREUM_2019
@@ -260,11 +261,18 @@ def test_pdf_pool_share_sanity(btc_pdf):
 # Spark wrapper
 # ---------------------------------------------------------------------------
 
+def test_label_id_is_stable():
+    # the 8-byte BLAKE2b digest, the same in every process (unlike hash())
+    assert label_id("StealthPool") == -3_703_764_719_083_568_306
+    assert label_id("StealthPool") != label_id("StealthPool ")
+
+
 def test_spark_df_schema(tiny_df):
     assert set(tiny_df.columns) >= {
         "block_number", "block_idx", "day_of_year", "ts", "miner", "chain", "date",
     }
     assert dict(tiny_df.dtypes)["block_number"] == "bigint"
+    assert dict(tiny_df.dtypes)["miner"] == "bigint"  # label ids, not names
     assert dict(tiny_df.dtypes)["date"] == "date"
 
 

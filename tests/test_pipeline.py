@@ -123,6 +123,12 @@ def test_producers_reject_block_number_off_start(spark, tiny_spec, monkeypatch):
         _ingest_broken(spark, tiny_spec, monkeypatch, edit)
 
 
+def test_producers_reject_label_id_collision(spark, tiny_spec, monkeypatch):
+    monkeypatch.setattr(generator, "label_id", lambda label: 7)
+    with pytest.raises(ValueError, match="share label id 7"):
+        _ingest_broken(spark, tiny_spec, monkeypatch, lambda pdf: None)
+
+
 @pytest.mark.parametrize("granularity", ["day", "week", "month"])
 def test_measure_fixed_shapes(spark, tiny_df, tiny_spec, granularity):
     out = pipeline.measure_fixed(tiny_df, granularity).toPandas()
@@ -208,14 +214,17 @@ def test_miner_share_series(spark, tiny_df, tiny_spec):
     assert sl["share"].max() > shares["share"].max()
 
 
-def test_miner_share_sums_to_one_over_all_miners(spark, tiny_df):
-    windowed = with_fixed_window(tiny_df, "day")
-    miners = [r[0] for r in tiny_df.select("miner").distinct().collect()]
-    # spot-check one day: shares over all miners sum to 1
-    day1 = windowed.where(F.col("window_id") == 1)
-    total = day1.count()
-    top = day1.groupBy("miner").count().toPandas()
-    assert top["count"].sum() == total
+def test_miner_share_sums_to_one_over_all_miners(spark, tiny_df, tiny_spec):
+    # labels come from the pandas frame; the Spark relation holds their ids
+    pdf = generator.block_producers_pdf(tiny_spec)
+    labels = pdf.loc[pdf.day_of_year == 1, "miner"].unique()
+    day1 = with_fixed_window(tiny_df, "day").where(F.col("window_id") == 1)
+    total = sum(
+        float(pipeline.miner_share_series(day1, label)["share"].iloc[0])
+        for label in labels
+    )
+    assert len(labels) > 1
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,16 @@ orderings, ranges and anomaly signatures the paper emphasizes must hold
 exactly.
 """
 
+import json
+from pathlib import Path
+
+import pandas as pd
 import pytest
 
 from repro.core import pipeline, tables
+
+#: T1–T8 ``measured`` values recorded by ``layerbench/make_expected.py``.
+EXPECTED_TABLES = Path(__file__).resolve().parents[1] / "layerbench" / "expected_tables.json"
 
 
 def _get(df, item):
@@ -76,6 +83,23 @@ def t8(spark):
 )
 def test_t1_dataset_exact(t1, item, expected):
     assert _get(t1, item) == expected
+
+
+@pytest.mark.parametrize(
+    "numbers",
+    [
+        [7, 7, 7, 3, 3, 9],                        # duplicate credits
+        [10, 11, 15, 400, 90_000, 90_001],         # gaps
+        [32_767, 32_768, 32_768, 32_769, 65_536, 65_537, 1],  # both sides of bucket edges
+        list(range(6_988_615, 6_988_615 + 70_000, 3)) * 2,    # many buckets, duplicated
+    ],
+    ids=["duplicates", "gaps", "bucket-boundary", "many-buckets"],
+)
+def test_block_range_matches_pandas(spark, numbers):
+    pdf = pd.DataFrame({"block_number": pd.Series(numbers, dtype="int64")})
+    got = tables.block_range(spark.createDataFrame(pdf).repartition(3))
+    bn = pdf["block_number"]
+    assert (got["blocks"], got["first"], got["last"]) == (bn.nunique(), bn.min(), bn.max())
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +402,18 @@ def test_t8_fixed_windows_miss_the_collapse(t8):
 
 def test_t8_fixed_daily_stays_in_normal_band(t8):
     assert _get(t8, "min daily nakamoto near the surge (days -5..+6)") >= 3
+
+
+# ---------------------------------------------------------------------------
+# regression gate: every measured value as recorded
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", [f"T{i}" for i in range(1, 9)])
+def test_measured_values_as_recorded(request, name):
+    """Each ``measured`` value equals the recorded one within 1e-9
+    (relative above 1), from the same table fixtures as the band tests."""
+    expected = json.loads(EXPECTED_TABLES.read_text())["tables"][name]
+    got = request.getfixturevalue(name.lower())
+    assert list(got["item"]) == [item for item, _ in expected]
+    for (item, want), value in zip(expected, got["measured"]):
+        assert abs(float(value) - want) <= 1e-9 * max(1.0, abs(want)), item
