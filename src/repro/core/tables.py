@@ -227,11 +227,7 @@ def table7_day14_anomaly(spark: SparkSession) -> pd.DataFrame:
         .agg(F.count("*").alias("cnt"))
         .collect()
     }
-    n_blocks_day14 = (
-        df.where(F.col("day_of_year") == 14)
-        .agg(F.countDistinct("block_number"))
-        .collect()[0][0]
-    )
+    n_blocks_day14 = block_range(df.where(F.col("day_of_year") == 14))["blocks"]
     # entropy z-score of day 14 within the daily series: "extreme value"
     ez = detect_spikes(day, "entropy", z_threshold=4.0, direction="high")
     rows = [

@@ -1,9 +1,10 @@
 """Decentralization metrics (paper §II.B, Eqs. 1–4).
 
-``reference`` holds numpy ground-truth implementations;
-``spark_metrics`` computes all three metrics per window from one
-ascending sort of the per-(window, miner) counts and one aggregation
-(Nakamoto from the suffix sum ``T − cum + cnt``); ``sql`` carries the
-same single-sort query as engine-portable SQL, used to cross-check
-Spark against DuckDB.
+``reference`` holds numpy ground-truth implementations; ``sql`` holds
+the one definition of the metric kernel, engine-portable SQL that
+derives all three metrics per window from one ascending sort of the
+per-(window, miner) counts and one aggregation (Nakamoto from the
+suffix sum ``T − cum + cnt``); ``spark_metrics`` counts per (window,
+miner) on Spark and runs that SQL over the counts, and the DuckDB
+oracle runs the same text to cross-check Spark.
 """

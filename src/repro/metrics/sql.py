@@ -1,36 +1,44 @@
-"""Engine-portable SQL for the metric kernel.
+"""The metric kernel as engine-portable SQL: the one definition of Eqs. 1–4.
 
-The same SQL text runs on Spark SQL and DuckDB (the correctness
-oracle), so `repro.oracle.assert_equivalent` can diff the two engines
-over identical input. The input relation is the producer-credit
-relation (one row per credit, with a ``miner`` column) with the window
-column attached.
+Spark runs ``kernel_sql`` for ``spark_metrics.decentralization_by_window``
+and DuckDB (the correctness oracle) runs the same text inside
+``decentralization_sql``, so `repro.oracle.assert_equivalent` diffs two
+engines over identical input and identical query text.
+
+All three metrics come from one pass: per-(window, miner) counts, one
+window sort of those counts ascending by ``(cnt, miner)``, and one
+aggregation per window. With ``rn`` the ascending rank, ``cum`` the
+running count sum and ``T = Σcnt`` (all exact, no sampling):
+
+* **Gini** — rank identity ``G = 2·Σ rn·cnt / (n·T) − (n+1)/n``. Ties
+  may be ranked in any strict order without changing the sum, so the
+  tie-break on ``miner`` (a 64-bit label id on the ingested chains)
+  only fixes determinism.
+* **Shannon entropy** — ``E = log₂T − (Σ cnt·log₂cnt)/T``, the
+  algebraic rearrangement of Eqs. 2–3 that needs no per-share column.
+* **Nakamoto** — ``suffix = T − cum + cnt`` is the count held by the
+  ``n − rn + 1`` largest producers, so the coefficient is
+  ``n − max{rn : 100·suffix ≥ 51·T} + 1`` (integer arithmetic, exact at
+  the 51 % boundary; ties cannot change a top-k sum).
 """
 
 from __future__ import annotations
 
-from repro.metrics.spark_metrics import NAKAMOTO_THRESHOLD_PCT
+#: Integer-percent threshold of the paper's Eq. 4 (Σ pᵢ ≥ 0.51).
+NAKAMOTO_THRESHOLD_PCT = 51
 
 
-def decentralization_sql(table: str, window_col: str) -> str:
-    """All three metrics per window, in the single-sort shape of
-    ``spark_metrics.decentralization_by_window``: per-(window, miner)
-    counts, one ascending window order, one aggregation per window."""
+def kernel_sql(counts_table: str, window_col: str) -> str:
+    """All three metrics per window over a ``(window_col, miner, cnt)``
+    relation: one ascending window order (every window column shares it,
+    the total too via a whole-partition frame, so Spark plans one Window
+    operator over one sort), then one aggregation per window.
+
+    Output columns: ``window_col, n_miners, n_credits, gini, entropy,
+    nakamoto``.
+    """
     order = f"PARTITION BY {window_col} ORDER BY cnt, miner"
     return f"""
-        WITH counts AS (
-            SELECT {window_col}, miner, count(*) AS cnt
-            FROM {table} GROUP BY {window_col}, miner
-        ),
-        ranked AS (
-            SELECT {window_col}, cnt,
-                   row_number() OVER ({order}) AS rn,
-                   sum(cnt) OVER ({order} ROWS BETWEEN UNBOUNDED PRECEDING
-                                  AND CURRENT ROW) AS cum,
-                   sum(cnt) OVER ({order} ROWS BETWEEN UNBOUNDED PRECEDING
-                                  AND UNBOUNDED FOLLOWING) AS total
-            FROM counts
-        )
         SELECT {window_col},
                count(*) AS n_miners,
                sum(cnt) AS n_credits,
@@ -39,9 +47,30 @@ def decentralization_sql(table: str, window_col: str) -> str:
                (2e0 * sum(rn * cnt)) / (count(*) * sum(cnt))
                    - (count(*) + 1e0) / count(*) AS gini,
                log2(sum(cnt)) - sum(cnt * log2(cnt)) / sum(cnt) AS entropy,
-               count(*) + 1 - max(
+               CAST(count(*) + 1 - max(
                    CASE WHEN 100 * (total - cum + cnt)
                              >= {NAKAMOTO_THRESHOLD_PCT} * total THEN rn END
-               ) AS nakamoto
-        FROM ranked GROUP BY {window_col}
+               ) AS INT) AS nakamoto
+        FROM (
+            SELECT {window_col}, cnt,
+                   row_number() OVER ({order}) AS rn,
+                   sum(cnt) OVER ({order} ROWS BETWEEN UNBOUNDED PRECEDING
+                                  AND CURRENT ROW) AS cum,
+                   sum(cnt) OVER ({order} ROWS BETWEEN UNBOUNDED PRECEDING
+                                  AND UNBOUNDED FOLLOWING) AS total
+            FROM {counts_table}
+        ) AS ranked
+        GROUP BY {window_col}
     """
+
+
+def decentralization_sql(table: str, window_col: str) -> str:
+    """``kernel_sql`` over the per-(window, miner) counts of ``table``, a
+    producer-credit relation (one row per credit, with a ``miner``
+    column) with the window column attached."""
+    return f"""
+        WITH counts AS (
+            SELECT {window_col}, miner, count(*) AS cnt
+            FROM {table} GROUP BY {window_col}, miner
+        )
+    """ + kernel_sql("counts", window_col)

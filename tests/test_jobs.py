@@ -1,8 +1,8 @@
-"""Command line of ``jobs/run_all.py``.
+"""Command line of ``jobs/run_all.py`` and the session of ``jobs/_session.py``.
 
 Run in a subprocess: ``main`` stops its Spark session, which in-process
-would be the shared test session. Both cases exit in argument parsing,
-before any JVM starts.
+would be the shared test session. The command-line cases exit in
+argument parsing, before any JVM starts.
 """
 
 import os
@@ -33,3 +33,23 @@ def test_help_lists_table_option():
     out = _run_all("--help")
     assert out.returncode == 0
     assert "--table" in out.stdout
+
+
+def test_session_takes_master_from_submit_args():
+    """``get_session`` keeps the master of the submit arguments."""
+    env = {k: v for k, v in os.environ.items() if k != "SPARK_MASTER"}
+    env["PYTHONPATH"] = str(ROOT / "jobs")
+    env["PYSPARK_SUBMIT_ARGS"] = (
+        "--master local[1] --driver-memory 1g "
+        "--conf spark.driver.host=127.0.0.1 pyspark-shell"
+    )
+    code = (
+        "from _session import get_session\n"
+        "s = get_session('master-check')\n"
+        "print(s.sparkContext.master)\n"
+        "s.stop()\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "local[1]"

@@ -10,11 +10,8 @@ from pyspark.sql import functions as F
 
 from repro.metrics import sql as msql
 from repro.metrics.reference import gini, nakamoto, shannon_entropy
-from repro.metrics.spark_metrics import (
-    NAKAMOTO_THRESHOLD_PCT,
-    decentralization_by_window,
-    per_window_counts,
-)
+from repro.metrics.spark_metrics import decentralization_by_window, per_window_counts
+from repro.metrics.sql import NAKAMOTO_THRESHOLD_PCT
 from repro.oracle import assert_equivalent
 
 
@@ -169,18 +166,35 @@ def test_nakamoto_vs_oracle(credit_frames, kind, seed):
 
 
 def test_spark_sql_text_runs_on_spark_too(spark, credit_frames):
-    """The shared SQL is genuinely portable: run it through Spark SQL and
-    compare every column with the DataFrame kernel."""
-    pdf, sdf = credit_frames[("zipf", 0)]
+    """The oracle's whole query (counts CTE + kernel) runs on Spark SQL
+    over a temp view and equals the kernel, whose counts come from the
+    DataFrame aggregation, in every column and dtype."""
+    _, sdf = credit_frames[("zipf", 0)]
     sdf.createOrReplaceTempView("bp_view")
-    via_sql = spark.sql(msql.decentralization_sql("bp_view", "window_id")).toPandas()
+    try:
+        via_sql = spark.sql(msql.decentralization_sql("bp_view", "window_id")).toPandas()
+    finally:
+        spark.catalog.dropTempView("bp_view")
     via_df = decentralization_by_window(sdf, "window_id").toPandas()
-    merged = via_sql.merge(via_df, on="window_id", suffixes=("_sql", "_df"))
-    assert len(merged) == len(via_df) == len(via_sql)
-    for col in ("gini", "entropy"):
-        assert np.allclose(merged[f"{col}_sql"], merged[f"{col}_df"], atol=1e-9)
-    for col in ("n_miners", "n_credits", "nakamoto"):
-        assert (merged[f"{col}_sql"] == merged[f"{col}_df"]).all()
+
+    def by_window(pdf):
+        return pdf.sort_values("window_id").reset_index(drop=True)
+
+    assert len(via_df) == sdf.select("window_id").distinct().count()
+    pd.testing.assert_frame_equal(
+        by_window(via_sql), by_window(via_df), check_exact=False, rtol=0, atol=1e-9
+    )
+
+
+def test_kernel_leaves_no_temp_views(spark, credit_frames):
+    """The kernel's counts view is dropped when the call returns, and the
+    returned frames still run afterwards."""
+    before = spark.catalog.listTables()
+    results = [decentralization_by_window(credit_frames[(kind, 0)][1], "window_id")
+               for kind in ("zipf", "uniform")]
+    assert spark.catalog.listTables() == before
+    assert all(len(r.collect()) == 6 for r in results)
+    assert spark.catalog.listTables() == before
 
 
 # ---------------------------------------------------------------------------
