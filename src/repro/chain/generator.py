@@ -20,7 +20,6 @@ import hashlib
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.chain.anomalies import apply_surges, resolve_coinbase_anomalies
 from repro.chain.params import ChainSpec
@@ -257,8 +256,9 @@ def block_producers(
     :func:`check_producers_pdf` has accepted the frame, except that
     ``miner`` is the ``bigint`` :func:`label_id` of each label: Spark
     counts and sorts 64-bit keys, and names stay in the pandas frame.
-    Adds ``chain`` and calendar ``date`` columns. One factorize serves
-    the check and the encoding, so only the distinct labels are hashed.
+    No column is added: windows derive what they need from these five.
+    One factorize serves the check and the encoding, so only the
+    distinct labels are hashed.
     Raises ``ValueError`` if two labels share an id.
     """
     pdf = block_producers_pdf(spec, seed=seed)
@@ -272,8 +272,4 @@ def block_producers(
         raise ValueError(
             f"{spec.name}: miner labels {a!r} and {b!r} share label id {clash}"
         )
-    return (
-        spark.createDataFrame(pdf.assign(miner=ids[codes]))
-        .withColumn("chain", F.lit(spec.name))
-        .withColumn("date", F.to_date("ts"))
-    )
+    return spark.createDataFrame(pdf.assign(miner=ids[codes]))

@@ -54,10 +54,6 @@ class Regime:
     medium: TailSpec
     sparse: TailSpec
 
-    def days(self) -> range:
-        """1-based days of year covered by this regime (inclusive)."""
-        return range(self.start_day, self.end_day + 1)
-
 
 @dataclass(frozen=True)
 class CoinbaseAnomaly:
@@ -118,10 +114,6 @@ class ChainSpec:
     @property
     def blocks_per_day_mean(self) -> float:
         return self.total_blocks / self.n_days
-
-    @property
-    def end_block(self) -> int:
-        return self.start_block + self.total_blocks - 1
 
     def regime_for_day(self, day: int) -> Regime:
         for r in self.regimes:

@@ -4,8 +4,8 @@ The paper's argument for sliding windows is that an event straddling a
 fixed-window boundary is diluted in fixed windows and therefore missed,
 while some M = N/2 sliding window aligns with it. We operationalize
 "detected" with a robust z-score threshold on the per-window series, so
-the fixed-vs-sliding comparison of Table T8 is a concrete, testable
-claim rather than a visual one.
+the day-14 entropy spike of Table T7 is a concrete, testable claim
+rather than a visual one.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ chain spec; ``measure_fixed`` / ``measure_sliding`` attach a window id
 and run the three-metric aggregation; the ``*_series`` helpers collect
 the per-window results to pandas sorted by window id (every series the
 paper plots is one such call). Collected series are memoized per
-(spec fingerprint, seed, windowing) because several tables drill into
-the same series.
+(spec fingerprint, windowing) because several tables drill into the
+same series.
 """
 
 from __future__ import annotations
@@ -96,26 +96,22 @@ def collect_series(measured: DataFrame) -> pd.DataFrame:
     return pdf
 
 
-def fixed_series(
-    spark: SparkSession, spec: ChainSpec, granularity: str, seed: int | None = None
-) -> pd.DataFrame:
+def fixed_series(spark: SparkSession, spec: ChainSpec, granularity: str) -> pd.DataFrame:
     """Memoized collected series for fixed windows."""
-    key = (_fingerprint(spec), seed, "fixed", granularity)
+    key = (_fingerprint(spec), "fixed", granularity)
     if key not in _SERIES_CACHE:
         _SERIES_CACHE[key] = collect_series(
-            measure_fixed(producers(spark, spec, seed), granularity)
+            measure_fixed(producers(spark, spec), granularity)
         )
     return _SERIES_CACHE[key].copy()
 
 
-def sliding_series(
-    spark: SparkSession, spec: ChainSpec, granularity: str, seed: int | None = None
-) -> pd.DataFrame:
+def sliding_series(spark: SparkSession, spec: ChainSpec, granularity: str) -> pd.DataFrame:
     """Memoized collected series for sliding windows (M = N/2)."""
-    key = (_fingerprint(spec), seed, "sliding", granularity)
+    key = (_fingerprint(spec), "sliding", granularity)
     if key not in _SERIES_CACHE:
         _SERIES_CACHE[key] = collect_series(
-            measure_sliding(producers(spark, spec, seed), spec, granularity)
+            measure_sliding(producers(spark, spec), spec, granularity)
         )
     return _SERIES_CACHE[key].copy()
 

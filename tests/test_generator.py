@@ -267,24 +267,22 @@ def test_label_id_is_stable():
     assert label_id("StealthPool") != label_id("StealthPool ")
 
 
-def test_spark_df_schema(tiny_df):
-    assert set(tiny_df.columns) >= {
-        "block_number", "block_idx", "day_of_year", "ts", "miner", "chain", "date",
-    }
-    assert dict(tiny_df.dtypes)["block_number"] == "bigint"
-    assert dict(tiny_df.dtypes)["miner"] == "bigint"  # label ids, not names
-    assert dict(tiny_df.dtypes)["date"] == "date"
-
-
-def test_spark_df_chain_column(tiny_df, tiny_spec):
-    vals = [r[0] for r in tiny_df.select("chain").distinct().collect()]
-    assert vals == [tiny_spec.name]
+def test_spark_df_schema(tiny_df, btc_df, eth_df):
+    # exactly the generator's columns; miner holds label ids, not names
+    for df in (tiny_df, btc_df, eth_df):
+        assert df.dtypes == [
+            ("block_number", "bigint"),
+            ("block_idx", "bigint"),
+            ("day_of_year", "int"),
+            ("ts", "timestamp"),
+            ("miner", "bigint"),
+        ]
 
 
 def test_spark_df_date_matches_day_of_year(tiny_df):
     from pyspark.sql import functions as F
 
-    bad = tiny_df.where(F.dayofyear("date") != F.col("day_of_year")).count()
+    bad = tiny_df.where(F.dayofyear("ts") != F.col("day_of_year")).count()
     assert bad == 0
 
 

@@ -1,5 +1,10 @@
 """Self-checks of the DuckDB oracle harness."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -50,3 +55,27 @@ def test_oracle_accepts_spark_input_tables(kv):
     pdf, sdf = kv
     got = sdf.groupBy("k").agg(F.count("*").alias("c"))
     assert_equivalent(got, "SELECT k, count(*) AS c FROM t GROUP BY k", t=sdf)
+
+
+def test_oracle_column_check_survives_optimize_flag():
+    """``python -O`` strips ``assert`` statements; the column check must
+    still raise with its own message."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import pandas as pd\n"
+        "from repro.oracle import assert_equivalent\n"
+        "class Stub:\n"
+        "    def toPandas(self):\n"
+        "        return pd.DataFrame({'k': [1], 'total': [1.0]})\n"
+        "try:\n"
+        "    assert_equivalent(Stub(), 'SELECT k, sum(v) AS s FROM t GROUP BY k',\n"
+        "                      t=pd.DataFrame({'k': [1], 'v': [1.0]}))\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "column mismatch" in out.stdout

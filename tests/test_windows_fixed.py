@@ -24,7 +24,7 @@ def year_pdf():
 
 @pytest.fixture(scope="module")
 def year_sdf(spark, year_pdf):
-    return spark.createDataFrame(year_pdf).withColumn("date", F.to_date("ts"))
+    return spark.createDataFrame(year_pdf)
 
 
 def test_day_window_is_day_of_year(year_sdf):
@@ -47,11 +47,12 @@ def test_week_window_count(year_sdf):
     assert out.select("window_id").distinct().count() == 53
 
 
-def test_month_window_is_calendar_month(year_sdf):
-    out = with_fixed_window(year_sdf, "month")
-    bad = out.where(F.month("date") != F.col("window_id")).count()
-    assert bad == 0
-    assert out.select("window_id").distinct().count() == 12
+def test_month_window_is_calendar_month(year_sdf, year_pdf):
+    out = with_fixed_window(year_sdf, "month").select("day_of_year", "window_id").toPandas()
+    got = out.set_index("day_of_year")["window_id"].sort_index()
+    want = year_pdf.set_index("day_of_year")["ts"].dt.month.sort_index()
+    assert got.tolist() == want.tolist()
+    assert got.nunique() == 12
 
 
 @pytest.mark.parametrize("granularity", FIXED_GRANULARITIES)
