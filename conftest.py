@@ -59,12 +59,15 @@ def spark() -> SparkSession:
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     Broadcast joins are disabled so every query runs its real shuffle
-    path, as the jobs and the benchmark do (``jobs/_session.py``).
+    path, as the jobs and the benchmark do (``jobs/_session.py``). An
+    Arrow conversion that fails raises instead of silently taking the
+    row-by-row path, as in the jobs.
     """
     s = (
         SparkSession.builder.appName("repro")
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.execution.arrow.pyspark.fallback.enabled", "false")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )

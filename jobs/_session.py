@@ -1,10 +1,11 @@
 """SparkSession setup for the spark-submit job entrypoint.
 
 Mirrors the test fixture configuration in ``conftest.py`` (shuffle
-partitions, Arrow, broadcast joins disabled) so jobs measure the same
-plans the tests verify. The master and driver memory come from the
-submit command line (``spark-submit`` or ``PYSPARK_SUBMIT_ARGS``); run
-directly (``python jobs/run_all.py``) PySpark defaults to ``local[*]``.
+partitions, Arrow with no silent fallback to row-by-row conversion,
+broadcast joins disabled) so jobs measure the same plans the tests
+verify. The master and driver memory come from the submit command line
+(``spark-submit`` or ``PYSPARK_SUBMIT_ARGS``); run directly
+(``python jobs/run_all.py``) PySpark defaults to ``local[*]``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ def get_session(app_name: str) -> SparkSession:
         SparkSession.builder.appName(app_name)
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.execution.arrow.pyspark.fallback.enabled", "false")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
         .getOrCreate()

@@ -26,6 +26,14 @@ from repro.chain.params import ChainSpec
 
 _SECONDS_PER_DAY = 86_400
 
+#: Spark schema of the ingested chain. ``ts`` is a zone-less wall time
+#: (UTC, like the paper's block timestamps), so no session time zone can
+#: shift a block across a month boundary or hit a DST gap at ingest.
+SPARK_SCHEMA = (
+    "block_number bigint, block_idx bigint, day_of_year int, "
+    "ts timestamp_ntz, miner bigint"
+)
+
 
 def label_id(label: str) -> int:
     """Stable signed 64-bit id of a miner label: its 8-byte BLAKE2b digest.
@@ -253,9 +261,10 @@ def block_producers(
     """Spark producer-credit DataFrame for a chain-year.
 
     The columns of :func:`block_producers_pdf`, after
-    :func:`check_producers_pdf` has accepted the frame, except that
-    ``miner`` is the ``bigint`` :func:`label_id` of each label: Spark
-    counts and sorts 64-bit keys, and names stay in the pandas frame.
+    :func:`check_producers_pdf` has accepted the frame, in
+    :data:`SPARK_SCHEMA`: ``miner`` is the ``bigint`` :func:`label_id` of
+    each label (Spark counts and sorts 64-bit keys, and names stay in the
+    pandas frame), and ``ts`` is ``timestamp_ntz``.
     No column is added: windows derive what they need from these five.
     One factorize serves the check and the encoding, so only the
     distinct labels are hashed.
@@ -272,4 +281,4 @@ def block_producers(
         raise ValueError(
             f"{spec.name}: miner labels {a!r} and {b!r} share label id {clash}"
         )
-    return spark.createDataFrame(pdf.assign(miner=ids[codes]))
+    return spark.createDataFrame(pdf.assign(miner=ids[codes]), schema=SPARK_SCHEMA)

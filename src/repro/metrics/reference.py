@@ -1,11 +1,13 @@
 """Numpy ground-truth implementations of the three metrics.
 
-These are the direct transcriptions of the paper's Eqs. 1–4 and serve
-as the oracle for the Spark implementations. ``gini`` uses the exact
-rank identity
+The ground truth the Spark implementation is tested against.
+``shannon_entropy`` and ``nakamoto`` transcribe Eqs. 2–4 directly.
+``gini`` is not a direct transcription of Eq. 1: it uses the exact rank
+identity
 ``G = 2·Σᵢ i·x₍ᵢ₎ / (n·Σx) − (n+1)/n`` (x sorted ascending, i = 1..n),
-which equals the paper's mean-absolute-difference form (Eq. 1) for
-non-negative inputs.
+the same identity the Spark kernel uses, which equals the paper's
+mean-absolute-difference form for non-negative inputs
+(``test_gini_matches_pairwise_formula`` checks the two agree).
 """
 
 from __future__ import annotations

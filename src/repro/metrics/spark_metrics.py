@@ -3,8 +3,8 @@
 Input is the producer-credit relation with a window-id column (added by
 ``repro.windows``); output is one row per window carrying all three
 metrics plus population counts. The counts are a DataFrame aggregation;
-the metrics are ``repro.metrics.sql.kernel_sql``, the query text the
-DuckDB oracle also runs, compiled by Catalyst like any DataFrame plan.
+the metrics are ``repro.metrics.sql.kernel_sql``, compiled by Catalyst like
+any DataFrame plan.
 """
 
 from __future__ import annotations

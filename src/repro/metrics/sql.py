@@ -1,9 +1,8 @@
-"""The metric kernel as engine-portable SQL: the one definition of Eqs. 1–4.
+"""The metric kernel as SQL: the one definition of Eqs. 1–4 that runs.
 
-Spark runs ``kernel_sql`` for ``spark_metrics.decentralization_by_window``
-and DuckDB (the correctness oracle) runs the same text inside
-``decentralization_sql``, so `repro.oracle.assert_equivalent` diffs two
-engines over identical input and identical query text.
+Spark runs ``kernel_sql`` for ``spark_metrics.decentralization_by_window``.
+The tests check it against a DuckDB transcription of the equations as
+written (``tests/oracle.py``), which shares no text with this module.
 
 All three metrics come from one pass: per-(window, miner) counts, one
 window sort of those counts ascending by ``(cnt, miner)``, and one
@@ -42,8 +41,8 @@ def kernel_sql(counts_table: str, window_col: str) -> str:
         SELECT {window_col},
                count(*) AS n_miners,
                sum(cnt) AS n_credits,
-               -- 2e0/1e0: float literals parse as DOUBLE on both Spark
-               -- and DuckDB (Spark reads 2.0 as DECIMAL)
+               -- 2e0/1e0: float literals parse as DOUBLE (Spark reads
+               -- 2.0 as DECIMAL)
                (2e0 * sum(rn * cnt)) / (count(*) * sum(cnt))
                    - (count(*) + 1e0) / count(*) AS gini,
                log2(sum(cnt)) - sum(cnt * log2(cnt)) / sum(cnt) AS entropy,
@@ -62,15 +61,3 @@ def kernel_sql(counts_table: str, window_col: str) -> str:
         ) AS ranked
         GROUP BY {window_col}
     """
-
-
-def decentralization_sql(table: str, window_col: str) -> str:
-    """``kernel_sql`` over the per-(window, miner) counts of ``table``, a
-    producer-credit relation (one row per credit, with a ``miner``
-    column) with the window column attached."""
-    return f"""
-        WITH counts AS (
-            SELECT {window_col}, miner, count(*) AS cnt
-            FROM {table} GROUP BY {window_col}, miner
-        )
-    """ + kernel_sql("counts", window_col)

@@ -6,8 +6,8 @@ Windows are identified by a sortable integer ``window_id``:
 * ``day``   — day of year (1..365), taken from the generator;
 * ``week``  — 7-day chunks counted from Jan 1: ``(doy-1) / 7 + 1``
   (1..53; week 53 holds the final day of a 365-day year);
-* ``month`` — calendar month (1..12) of the block timestamp ``ts``, in
-  the session time zone.
+* ``month`` — calendar month (1..12) of the block timestamp ``ts``, a
+  ``timestamp_ntz`` wall time, so the session time zone does not enter.
 """
 
 from __future__ import annotations

@@ -274,7 +274,7 @@ def test_spark_df_schema(tiny_df, btc_df, eth_df):
             ("block_number", "bigint"),
             ("block_idx", "bigint"),
             ("day_of_year", "int"),
-            ("ts", "timestamp"),
+            ("ts", "timestamp_ntz"),
             ("miner", "bigint"),
         ]
 

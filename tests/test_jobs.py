@@ -36,7 +36,8 @@ def test_help_lists_table_option():
 
 
 def test_session_takes_master_from_submit_args():
-    """``get_session`` keeps the master of the submit arguments."""
+    """``get_session`` keeps the master of the submit arguments, and turns
+    off Arrow's silent fallback to row-by-row conversion."""
     env = {k: v for k, v in os.environ.items() if k != "SPARK_MASTER"}
     env["PYTHONPATH"] = str(ROOT / "jobs")
     env["PYSPARK_SUBMIT_ARGS"] = (
@@ -47,9 +48,10 @@ def test_session_takes_master_from_submit_args():
         "from _session import get_session\n"
         "s = get_session('master-check')\n"
         "print(s.sparkContext.master)\n"
+        "print(s.conf.get('spark.sql.execution.arrow.pyspark.fallback.enabled'))\n"
         "s.stop()\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == "local[1]"
+    assert out.stdout.strip().splitlines()[-2:] == ["local[1]", "false"]

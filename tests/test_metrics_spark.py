@@ -1,18 +1,14 @@
-"""Spark metric aggregations vs numpy reference and the DuckDB oracle."""
+"""Spark metric aggregations vs numpy reference and the DuckDB textbook oracle."""
 
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pyspark.sql import Window
-from pyspark.sql import functions as F
 
-from repro.metrics import sql as msql
 from repro.metrics.reference import gini, nakamoto, shannon_entropy
 from repro.metrics.spark_metrics import decentralization_by_window, per_window_counts
-from repro.metrics.sql import NAKAMOTO_THRESHOLD_PCT
-from repro.oracle import assert_equivalent
+from tests.oracle import FLOAT_ATOL, assert_equivalent, textbook_metrics_sql
 
 
 def _credits_pdf(kind: str, seed: int, n_windows: int = 6, n_rows: int = 4_000):
@@ -72,118 +68,91 @@ def test_all_metrics_match_reference(credit_frames, kind, seed):
         assert int(row["n_credits"]) == len(grp)
 
 
-def _single_metric_frames(counts, window_col="window_id"):
-    """Each metric by its own Spark plan over the counts, independent of
-    the combined kernel: Gini from its own ascending rank, entropy from
-    explicit shares, Nakamoto from a descending cumulative scan."""
-    w_asc = Window.partitionBy(window_col).orderBy("cnt", "miner")
-    w_desc = Window.partitionBy(window_col).orderBy(F.desc("cnt"), "miner")
-    w_all = Window.partitionBy(window_col)
-    g = (
-        counts.withColumn("rn", F.row_number().over(w_asc))
-        .groupBy(window_col)
-        .agg((2.0 * F.sum(F.col("rn") * F.col("cnt")) / (F.count("*") * F.sum("cnt"))
-              - (F.count("*") + 1.0) / F.count("*")).alias("gini"))
-    )
-    p = F.col("cnt") / F.sum("cnt").over(w_all)
-    e = counts.withColumn("p", p).groupBy(window_col).agg(
-        (-F.sum(F.col("p") * F.log2("p"))).alias("entropy")
-    )
-    n = (
-        counts.select(
-            window_col,
-            F.row_number().over(w_desc).alias("rn"),
-            F.sum("cnt").over(w_desc.rowsBetween(Window.unboundedPreceding, 0)).alias("cum"),
-            F.sum("cnt").over(w_all).alias("total"),
-        )
-        .where(100 * F.col("cum") >= NAKAMOTO_THRESHOLD_PCT * F.col("total"))
-        .groupBy(window_col)
-        .agg(F.min("rn").alias("nakamoto"))
-    )
-    return [f.toPandas().set_index(window_col) for f in (g, e, n)]
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_single_metric_helpers_agree_with_combined(credit_frames, kind):
-    _, sdf = credit_frames[(kind, 0)]
-    counts = per_window_counts(sdf, "window_id")
-    combined = decentralization_by_window(sdf, "window_id").toPandas().set_index("window_id")
-    g, e, n = _single_metric_frames(counts)
-    for wid in combined.index:
-        assert combined.loc[wid, "gini"] == pytest.approx(g.loc[wid, "gini"], abs=1e-12)
-        assert combined.loc[wid, "entropy"] == pytest.approx(e.loc[wid, "entropy"], abs=1e-12)
-        assert combined.loc[wid, "nakamoto"] == n.loc[wid, "nakamoto"]
-
-
 # ---------------------------------------------------------------------------
-# Spark vs DuckDB oracle (same SQL on both engines)
+# Spark vs the textbook oracle (Eqs. 1–4 as written, no text shared with
+# the kernel): on DuckDB per (kind, seed), and on Spark SQL
 # ---------------------------------------------------------------------------
 
-def _oracle_sql(*cols: str) -> str:
-    """Columns of the shared metric query, over the table ``bp``."""
-    return f"SELECT {', '.join(cols)} FROM ({msql.decentralization_sql('bp', 'window_id')})"
+#: Spark types of the kernel's output columns (pandas int64, float64, int32).
+KERNEL_TYPES = {
+    "window_id": "bigint", "n_miners": "bigint", "n_credits": "bigint",
+    "gini": "double", "entropy": "double", "nakamoto": "int",
+}
+
+
+def _assert_kernel_matches_textbook(credit_frames, kind, seed, *cols):
+    """The kernel's ``window_id`` and ``cols`` have the kernel's types and
+    equal the DuckDB textbook query: integers exact, floats within 1e-12."""
+    pdf, sdf = credit_frames[(kind, seed)]
+    kernel = decentralization_by_window(sdf, "window_id").select("window_id", *cols)
+    assert kernel.dtypes == [(c, KERNEL_TYPES[c]) for c in ("window_id", *cols)]
+    textbook = f"SELECT window_id, {', '.join(cols)} FROM ({textbook_metrics_sql('bp')})"
+    assert_equivalent(kernel, textbook, bp=pdf)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_counts_vs_oracle(credit_frames, kind, seed):
     pdf, sdf = credit_frames[(kind, seed)]
-    got = per_window_counts(sdf, "window_id")
     assert_equivalent(
-        got, "SELECT window_id, miner, count(*) AS cnt FROM bp GROUP BY window_id, miner",
+        per_window_counts(sdf, "window_id"),
+        "SELECT window_id, miner, count(*) AS cnt FROM bp GROUP BY window_id, miner",
         bp=pdf,
     )
     # The per-window populations of the kernel come from these counts.
-    kernel = decentralization_by_window(sdf, "window_id")
-    assert_equivalent(
-        kernel.select("window_id", "n_miners", "n_credits"),
-        _oracle_sql("window_id", "n_miners", "n_credits"), bp=pdf,
-    )
+    _assert_kernel_matches_textbook(credit_frames, kind, seed, "n_miners", "n_credits")
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_gini_vs_oracle(credit_frames, kind, seed):
-    pdf, sdf = credit_frames[(kind, seed)]
-    got = decentralization_by_window(sdf, "window_id").select("window_id", "gini")
-    assert_equivalent(got, _oracle_sql("window_id", "gini"), bp=pdf)
+    _assert_kernel_matches_textbook(credit_frames, kind, seed, "gini")
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_entropy_vs_oracle(credit_frames, kind, seed):
-    pdf, sdf = credit_frames[(kind, seed)]
-    got = decentralization_by_window(sdf, "window_id").select("window_id", "entropy")
-    assert_equivalent(got, _oracle_sql("window_id", "entropy"), bp=pdf)
+    _assert_kernel_matches_textbook(credit_frames, kind, seed, "entropy")
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_nakamoto_vs_oracle(credit_frames, kind, seed):
-    pdf, sdf = credit_frames[(kind, seed)]
-    got = decentralization_by_window(sdf, "window_id").select("window_id", "nakamoto")
-    assert_equivalent(got, _oracle_sql("window_id", "nakamoto"), bp=pdf)
+    _assert_kernel_matches_textbook(credit_frames, kind, seed, "nakamoto")
+
+
+def _by_window(pdf):
+    return pdf.sort_values("window_id").reset_index(drop=True)
+
+
+def _textbook_on_spark(spark, sdf):
+    """The textbook query, planned and run by Spark SQL over ``sdf``."""
+    return _by_window(spark.sql(textbook_metrics_sql("{bp}"), bp=sdf).toPandas())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_single_metric_helpers_agree_with_combined(spark, credit_frames, kind):
+    """Each metric from its own textbook subquery (self-join Gini, share
+    entropy, running-sum Nakamoto), run by Spark instead of DuckDB, agrees
+    with the combined kernel in every window."""
+    _, sdf = credit_frames[(kind, 0)]
+    combined = _by_window(decentralization_by_window(sdf, "window_id").toPandas())
+    single = _textbook_on_spark(spark, sdf)
+    assert list(combined["window_id"]) == list(single["window_id"])
+    for metric in ("gini", "entropy"):
+        assert np.abs(combined[metric] - single[metric]).max() <= FLOAT_ATOL
+    assert list(combined["nakamoto"]) == list(single["nakamoto"])
 
 
 def test_spark_sql_text_runs_on_spark_too(spark, credit_frames):
-    """The oracle's whole query (counts CTE + kernel) runs on Spark SQL
-    over a temp view and equals the kernel, whose counts come from the
-    DataFrame aggregation, in every column and dtype."""
+    """The oracle's whole query runs on Spark SQL and equals the kernel,
+    whose counts come from the DataFrame aggregation, in every column and
+    dtype."""
     _, sdf = credit_frames[("zipf", 0)]
-    sdf.createOrReplaceTempView("bp_view")
-    try:
-        via_sql = spark.sql(msql.decentralization_sql("bp_view", "window_id")).toPandas()
-    finally:
-        spark.catalog.dropTempView("bp_view")
-    via_df = decentralization_by_window(sdf, "window_id").toPandas()
-
-    def by_window(pdf):
-        return pdf.sort_values("window_id").reset_index(drop=True)
-
+    via_sql = _textbook_on_spark(spark, sdf)
+    via_df = _by_window(decentralization_by_window(sdf, "window_id").toPandas())
     assert len(via_df) == sdf.select("window_id").distinct().count()
-    pd.testing.assert_frame_equal(
-        by_window(via_sql), by_window(via_df), check_exact=False, rtol=0, atol=1e-9
-    )
+    pd.testing.assert_frame_equal(via_sql, via_df, check_exact=False, rtol=0, atol=FLOAT_ATOL)
 
 
 def test_kernel_leaves_no_temp_views(spark, credit_frames):

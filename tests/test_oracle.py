@@ -1,15 +1,16 @@
-"""Self-checks of the DuckDB oracle harness."""
+"""Self-checks of the DuckDB oracle harness and its textbook metric query."""
 
 import os
 import pathlib
 import subprocess
 import sys
 
+import duckdb
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent, textbook_metrics_sql
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,17 @@ def test_oracle_catches_wrong_result(kv):
     wrong = sdf.groupBy("k").agg((F.sum("v") + 1).alias("s"))
     with pytest.raises(AssertionError):
         assert_equivalent(wrong, "SELECT k, sum(v) AS s FROM t GROUP BY k", t=pdf)
+
+
+def test_oracle_catches_float_difference_below_rounding(kv):
+    """A float off by 1e-8 differs from the oracle's result: no rounding
+    hides it."""
+    pdf, sdf = kv
+    off = sdf.groupBy("k").agg(
+        (F.sum("v") + F.when(F.col("k") == 2, 1e-8).otherwise(0.0)).alias("s")
+    )
+    with pytest.raises(AssertionError):
+        assert_equivalent(off, "SELECT k, sum(v) AS s FROM t GROUP BY k", t=pdf)
 
 
 def test_oracle_catches_missing_rows(kv):
@@ -60,10 +72,10 @@ def test_oracle_accepts_spark_input_tables(kv):
 def test_oracle_column_check_survives_optimize_flag():
     """``python -O`` strips ``assert`` statements; the column check must
     still raise with its own message."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    root = pathlib.Path(__file__).resolve().parents[1]
     script = (
         "import pandas as pd\n"
-        "from repro.oracle import assert_equivalent\n"
+        "from tests.oracle import assert_equivalent\n"
         "class Stub:\n"
         "    def toPandas(self):\n"
         "        return pd.DataFrame({'k': [1], 'total': [1.0]})\n"
@@ -75,7 +87,27 @@ def test_oracle_column_check_survives_optimize_flag():
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root)}, timeout=120,
     )
     assert out.returncode == 0, out.stderr
     assert "column mismatch" in out.stdout
+
+
+@pytest.mark.parametrize(
+    "dist,nakamoto",
+    [
+        ({"a": 51, "b": 49}, 1),
+        ({"a": 50, "b": 50}, 2),
+        ({"a": 25, "b": 25, "c": 25, "d": 25}, 3),
+        ({"a": 100}, 1),
+    ],
+)
+def test_textbook_oracle_at_the_51_percent_boundary(dist, nakamoto):
+    """The oracle's Eq. 4 on one window whose answer is known."""
+    credits = pd.DataFrame(
+        [(0, m) for m, c in dist.items() for _ in range(c)], columns=["window_id", "miner"]
+    )
+    with duckdb.connect() as con:
+        con.register("bp", credits)
+        row = con.execute(textbook_metrics_sql("bp")).fetchdf().iloc[0]
+    assert (row["n_miners"], row["n_credits"], row["nakamoto"]) == (len(dist), 100, nakamoto)
