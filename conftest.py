@@ -1,4 +1,5 @@
 import os
+import pathlib
 import sys
 
 
@@ -43,34 +44,25 @@ os.environ.setdefault(
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
     f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
     "pyspark-shell",
 )
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "jobs"))
+from _session import get_session  # noqa: E402
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
+    """The jobs' SparkSession (``jobs/_session.get_session``) for the whole
+    test session, so the tests run the plans the jobs run.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so every query runs its real shuffle
-    path, as the jobs and the benchmark do (``jobs/_session.py``). An
-    Arrow conversion that fails raises instead of silently taking the
-    row-by-row path, as in the jobs.
+    pre-JVM-launch).
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.execution.arrow.pyspark.fallback.enabled", "false")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = get_session("repro")
     # One stderr line that shows whether the cgroup derivation saw the
     # real memory limit.
     print(

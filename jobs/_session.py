@@ -1,11 +1,12 @@
-"""SparkSession setup for the spark-submit job entrypoint.
+"""SparkSession setup for the spark-submit job entrypoint and the tests.
 
-Mirrors the test fixture configuration in ``conftest.py`` (shuffle
-partitions, Arrow with no silent fallback to row-by-row conversion,
-broadcast joins disabled) so jobs measure the same plans the tests
-verify. The master and driver memory come from the submit command line
-(``spark-submit`` or ``PYSPARK_SUBMIT_ARGS``); run directly
-(``python jobs/run_all.py``) PySpark defaults to ``local[*]``.
+Shuffle partitions, Arrow with no silent fallback to row-by-row
+conversion, and broadcast joins disabled, so every query runs its real
+shuffle path. The root ``conftest.py`` fixture calls ``get_session`` too,
+so the tests verify the plans the jobs measure. The master and driver
+memory come from the submit command line (``spark-submit`` or
+``PYSPARK_SUBMIT_ARGS``); run directly (``python jobs/run_all.py``)
+PySpark defaults to ``local[*]``.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Callable
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -96,24 +97,26 @@ def collect_series(measured: DataFrame) -> pd.DataFrame:
     return pdf
 
 
+def _memoized(
+    spec: ChainSpec, kind: str, granularity: str, measure: Callable[[], DataFrame]
+) -> pd.DataFrame:
+    """Collected series of ``measure()``, memoized per (spec, kind, granularity)."""
+    key = (_fingerprint(spec), kind, granularity)
+    if key not in _SERIES_CACHE:
+        _SERIES_CACHE[key] = collect_series(measure())
+    return _SERIES_CACHE[key].copy()
+
+
 def fixed_series(spark: SparkSession, spec: ChainSpec, granularity: str) -> pd.DataFrame:
     """Memoized collected series for fixed windows."""
-    key = (_fingerprint(spec), "fixed", granularity)
-    if key not in _SERIES_CACHE:
-        _SERIES_CACHE[key] = collect_series(
-            measure_fixed(producers(spark, spec), granularity)
-        )
-    return _SERIES_CACHE[key].copy()
+    return _memoized(spec, "fixed", granularity,
+                     lambda: measure_fixed(producers(spark, spec), granularity))
 
 
 def sliding_series(spark: SparkSession, spec: ChainSpec, granularity: str) -> pd.DataFrame:
     """Memoized collected series for sliding windows (M = N/2)."""
-    key = (_fingerprint(spec), "sliding", granularity)
-    if key not in _SERIES_CACHE:
-        _SERIES_CACHE[key] = collect_series(
-            measure_sliding(producers(spark, spec), spec, granularity)
-        )
-    return _SERIES_CACHE[key].copy()
+    return _memoized(spec, "sliding", granularity,
+                     lambda: measure_sliding(producers(spark, spec), spec, granularity))
 
 
 def miner_share_series(window_df: DataFrame, miner: str) -> pd.DataFrame:
