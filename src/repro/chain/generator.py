@@ -26,12 +26,9 @@ from repro.chain.params import ChainSpec
 
 _SECONDS_PER_DAY = 86_400
 
-#: Spark schema of the ingested chain. ``ts`` is a zone-less wall time
-#: (UTC, like the paper's block timestamps), so no session time zone can
-#: shift a block across a month boundary or hit a DST gap at ingest.
+#: Spark schema of the ingested chain: integer keys only.
 SPARK_SCHEMA = (
-    "block_number bigint, block_idx bigint, day_of_year int, "
-    "ts timestamp_ntz, miner bigint"
+    "block_number bigint, block_idx bigint, day_of_year int, month int, miner bigint"
 )
 
 
@@ -51,9 +48,9 @@ def daily_counts(spec: ChainSpec, rng: np.random.Generator | None = None) -> np.
     ``spec.total_blocks`` exactly).
 
     Counts are Gaussian around the chain's mean rate, then adjusted to
-    honour ``forced_day_counts`` (exact per-day counts), every
-    ``forced_prefix_totals`` entry (exact cumulative counts — used to
-    pin the paper's day-14 block numbers), and the exact yearly total.
+    honour every ``forced_prefix_totals`` entry (exact cumulative counts —
+    used to pin the paper's day-14 block numbers and block count) and the
+    exact yearly total.
     """
     rng = np.random.default_rng(spec.seed) if rng is None else rng
     c = np.rint(
@@ -61,34 +58,23 @@ def daily_counts(spec: ChainSpec, rng: np.random.Generator | None = None) -> np.
     ).astype(np.int64)
     c = np.maximum(c, 1)
 
-    forced = {day: cnt for day, cnt in spec.forced_day_counts}
-    for day, cnt in forced.items():
-        c[day - 1] = cnt
-
-    def _distribute(day_indices: list[int], diff: int) -> None:
-        """Spread ``diff`` blocks (positive or negative) over the days."""
+    def _distribute(lo: int, hi: int, diff: int) -> None:
+        """Spread ``diff`` blocks (positive or negative) over days ``lo..hi-1``."""
         if diff == 0:
             return
-        if not day_indices:
+        if hi <= lo:
             raise ValueError("no adjustable days to absorb count difference")
-        base, rem = divmod(diff, len(day_indices))
-        for j, d in enumerate(day_indices):
-            c[d] += base + (1 if j < rem else 0)
-        if (c[[*day_indices]] < 1).any():
+        base, rem = divmod(diff, hi - lo)
+        c[lo:hi] += base
+        c[lo : lo + rem] += 1
+        if (c[lo:hi] < 1).any():
             raise ValueError("count adjustment drove a day below 1 block")
 
-    last_prefix_day = 0
+    lo = 0
     for through_day, total in sorted(spec.forced_prefix_totals):
-        adjustable = [
-            d for d in range(last_prefix_day, through_day) if (d + 1) not in forced
-        ]
-        _distribute(adjustable, int(total - c[:through_day].sum()))
-        last_prefix_day = through_day
-
-    adjustable = [
-        d for d in range(last_prefix_day, spec.n_days) if (d + 1) not in forced
-    ]
-    _distribute(adjustable, int(spec.total_blocks - c.sum()))
+        _distribute(lo, through_day, int(total - c[:through_day].sum()))
+        lo = through_day
+    _distribute(lo, spec.n_days, int(spec.total_blocks - c.sum()))
     if c.sum() != spec.total_blocks:
         raise ValueError(
             f"daily counts sum to {c.sum()}, not total_blocks={spec.total_blocks}"
@@ -260,12 +246,12 @@ def block_producers(
 ) -> DataFrame:
     """Spark producer-credit DataFrame for a chain-year.
 
-    The columns of :func:`block_producers_pdf`, after
-    :func:`check_producers_pdf` has accepted the frame, in
-    :data:`SPARK_SCHEMA`: ``miner`` is the ``bigint`` :func:`label_id` of
-    each label (Spark counts and sorts 64-bit keys, and names stay in the
-    pandas frame), and ``ts`` is ``timestamp_ntz``.
-    No column is added: windows derive what they need from these five.
+    The frame of :func:`block_producers_pdf`, after
+    :func:`check_producers_pdf` has accepted it, in :data:`SPARK_SCHEMA`:
+    ``ts`` is replaced by its calendar ``month``, and ``miner`` by the
+    ``bigint`` :func:`label_id` of each label (Spark counts and sorts
+    64-bit keys, and names stay in the pandas frame). Windows read these
+    columns and derive nothing from a timestamp.
     One factorize serves the check and the encoding, so only the
     distinct labels are hashed.
     Raises ``ValueError`` if two labels share an id.
@@ -281,4 +267,5 @@ def block_producers(
         raise ValueError(
             f"{spec.name}: miner labels {a!r} and {b!r} share label id {clash}"
         )
-    return spark.createDataFrame(pdf.assign(miner=ids[codes]), schema=SPARK_SCHEMA)
+    keys = pdf.assign(ts=pdf["ts"].dt.month.astype(np.int32), miner=ids[codes])
+    return spark.createDataFrame(keys.rename(columns={"ts": "month"}), schema=SPARK_SCHEMA)

@@ -105,9 +105,8 @@ class ChainSpec:
     sliding_sizes: dict[str, int] = field(default_factory=dict)
     coinbase_anomalies: tuple[CoinbaseAnomaly, ...] = ()
     surges: tuple[DominantSurge, ...] = ()
-    # (day, count): force that day's block count exactly.
-    forced_day_counts: tuple[tuple[int, int], ...] = ()
-    # (through_day, total): force the cumulative count of days 1..through_day.
+    # (through_day, total): force the cumulative count of days 1..through_day;
+    # two consecutive entries force the count of the later day.
     forced_prefix_totals: tuple[tuple[int, int], ...] = ()
     seed: int = 2019
 
@@ -175,8 +174,9 @@ _BTC_POOLS_LATE = (
 
 # Day-14 anomaly geometry: the paper names blocks 558,473 and 558,545 as the
 # two multi-coinbase blocks of Jan 14 2019. We force days 1–13 to produce
-# exactly 1,980 blocks and day 14 exactly 148 (the paper's count), so those
-# block numbers fall at within-day positions 34 and 106 of day 14.
+# exactly 1,980 blocks and days 1–14 exactly 2,128, so day 14 has 148 (the
+# paper's count) and those block numbers fall at within-day positions 34
+# and 106 of day 14.
 _BTC_DAY14_POS_A = 558_473 - 556_459 - 1_980  # = 34
 _BTC_DAY14_POS_B = 558_545 - 556_459 - 1_980  # = 106
 
@@ -213,8 +213,7 @@ BITCOIN_2019 = ChainSpec(
         DominantSurge(start_day=59, blocks_before_boundary=72, length=144,
                       share=0.55, miner="StealthPool"),
     ),
-    forced_day_counts=((14, 148),),
-    forced_prefix_totals=((13, 1_980),),
+    forced_prefix_totals=((13, 1_980), (14, 2_128)),
     seed=2019,
 )
 

@@ -250,19 +250,19 @@ def table7_day14_anomaly(spark: SparkSession) -> pd.DataFrame:
     # entropy z-score of day 14 within the daily series: "extreme value"
     day["entropy_z"] = _robust_z(day["entropy"])
     d14 = day[day["window_id"] == 14].iloc[0]
-    df = pipeline.producers(spark, BITCOIN_2019)
+    # credits per block of day 14, which holds both named blocks
     blk = {
-        int(r["block_number"]): float(r["cnt"])
-        for r in df.where(F.col("block_number").isin(558_473, 558_545))
+        int(r["block_number"]): float(r["count"])
+        for r in pipeline.producers(spark, BITCOIN_2019)
+        .where(F.col("day_of_year") == 14)
         .groupBy("block_number")
-        .agg(F.count("*").alias("cnt"))
+        .count()
         .collect()
     }
-    n_blocks_day14 = block_range(df.where(F.col("day_of_year") == 14))["blocks"]
     rows = [
         ("day 14 daily gini", "0.34", float(d14["gini"])),
         ("day 14 daily entropy", "6.2", float(d14["entropy"])),
-        ("day 14 blocks", "148 (only)", float(n_blocks_day14)),
+        ("day 14 blocks", "148 (only)", float(len(blk))),
         ("block 558,473 producer credits", "more than 80", blk.get(558_473, 0.0)),
         ("block 558,545 producer credits", "more than 90", blk.get(558_545, 0.0)),
         ("day 14 distinct producers", "extremely large set", float(d14["n_miners"])),

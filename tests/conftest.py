@@ -41,8 +41,7 @@ TINY_2019 = ChainSpec(
     coinbase_anomalies=(CoinbaseAnomaly(7, (12, 15)),),
     surges=(DominantSurge(start_day=20, blocks_before_boundary=25, length=50,
                           share=0.6, miner="TinyStealth"),),
-    forced_day_counts=((7, 52),),
-    forced_prefix_totals=((6, 300),),
+    forced_prefix_totals=((6, 300), (7, 352)),
     seed=99,
 )
 

@@ -11,6 +11,8 @@ collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
 columns are not orderable so cannot be compared here.
+``assert_frames_equivalent(got, expected)`` is the same comparison of
+two frames already collected.
 
 ``textbook_metrics_sql(table)`` is the paper's Eqs. 1–4 written out as
 they read, over a ``(window_id, miner)`` credit table. It shares no text
@@ -43,7 +45,11 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
+    assert_frames_equivalent(spark_df.toPandas(), expected)
+
+
+def assert_frames_equivalent(got: pd.DataFrame, expected: pd.DataFrame) -> None:
+    """``assert_equivalent``'s comparison of two collected frames."""
     if set(expected.columns) != set(got.columns):
         raise AssertionError(
             f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "

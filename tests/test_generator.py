@@ -268,22 +268,27 @@ def test_label_id_is_stable():
 
 
 def test_spark_df_schema(tiny_df, btc_df, eth_df):
-    # exactly the generator's columns; miner holds label ids, not names
+    # integer keys only: month in ts's place, miner as label ids, not names
     for df in (tiny_df, btc_df, eth_df):
         assert df.dtypes == [
             ("block_number", "bigint"),
             ("block_idx", "bigint"),
             ("day_of_year", "int"),
-            ("ts", "timestamp_ntz"),
+            ("month", "int"),
             ("miner", "bigint"),
         ]
 
 
-def test_spark_df_date_matches_day_of_year(tiny_df):
-    from pyspark.sql import functions as F
-
-    bad = tiny_df.where(F.dayofyear("ts") != F.col("day_of_year")).count()
-    assert bad == 0
+def test_spark_df_month_matches_ts_per_block(btc_df, btc_pdf):
+    """Every BTC block has one Spark ``month``: the calendar month of its
+    pandas ``ts`` (TINY spans only January, so it cannot show this)."""
+    got = btc_df.select("block_idx", "month").distinct().toPandas()
+    want = btc_pdf.drop_duplicates("block_idx")
+    assert len(got) == len(want) == BITCOIN_2019.total_blocks
+    got = got.sort_values("block_idx")
+    assert got["block_idx"].tolist() == want["block_idx"].tolist()
+    assert got["month"].tolist() == want["ts"].dt.month.tolist()
+    assert got["month"].nunique() == 12
 
 
 def test_spark_df_row_count(tiny_df):

@@ -1,5 +1,6 @@
 """Spark metric aggregations vs numpy reference and the DuckDB textbook oracle."""
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro.metrics.reference import gini, nakamoto, shannon_entropy
 from repro.metrics.spark_metrics import decentralization_by_window, per_window_counts
-from tests.oracle import FLOAT_ATOL, assert_equivalent, textbook_metrics_sql
+from tests.oracle import (
+    FLOAT_ATOL,
+    assert_equivalent,
+    assert_frames_equivalent,
+    textbook_metrics_sql,
+)
 
 
 def _credits_pdf(kind: str, seed: int, n_windows: int = 6, n_rows: int = 4_000):
@@ -80,19 +86,33 @@ KERNEL_TYPES = {
 }
 
 
-def _assert_kernel_matches_textbook(credit_frames, kind, seed, *cols):
+@pytest.fixture(scope="module")
+def kernel_vs_textbook(credit_frames):
+    """Per (kind, seed): the kernel's Spark dtypes and collected rows, and
+    the DuckDB textbook query's rows. Each side runs once for the four
+    comparisons below."""
+    out = {}
+    for key, (pdf, sdf) in credit_frames.items():
+        kernel = decentralization_by_window(sdf, "window_id")
+        with duckdb.connect() as con:
+            con.register("bp", pdf)
+            textbook = con.execute(textbook_metrics_sql("bp")).fetchdf()
+        out[key] = dict(kernel.dtypes), kernel.toPandas(), textbook
+    return out
+
+
+def _assert_kernel_matches_textbook(kernel_vs_textbook, kind, seed, *cols):
     """The kernel's ``window_id`` and ``cols`` have the kernel's types and
     equal the DuckDB textbook query: integers exact, floats within 1e-12."""
-    pdf, sdf = credit_frames[(kind, seed)]
-    kernel = decentralization_by_window(sdf, "window_id").select("window_id", *cols)
-    assert kernel.dtypes == [(c, KERNEL_TYPES[c]) for c in ("window_id", *cols)]
-    textbook = f"SELECT window_id, {', '.join(cols)} FROM ({textbook_metrics_sql('bp')})"
-    assert_equivalent(kernel, textbook, bp=pdf)
+    dtypes, kernel, textbook = kernel_vs_textbook[(kind, seed)]
+    cols = ["window_id", *cols]
+    assert {c: dtypes[c] for c in cols} == {c: KERNEL_TYPES[c] for c in cols}
+    assert_frames_equivalent(kernel[cols], textbook[cols])
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
-def test_counts_vs_oracle(credit_frames, kind, seed):
+def test_counts_vs_oracle(credit_frames, kernel_vs_textbook, kind, seed):
     pdf, sdf = credit_frames[(kind, seed)]
     assert_equivalent(
         per_window_counts(sdf, "window_id"),
@@ -100,25 +120,25 @@ def test_counts_vs_oracle(credit_frames, kind, seed):
         bp=pdf,
     )
     # The per-window populations of the kernel come from these counts.
-    _assert_kernel_matches_textbook(credit_frames, kind, seed, "n_miners", "n_credits")
+    _assert_kernel_matches_textbook(kernel_vs_textbook, kind, seed, "n_miners", "n_credits")
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
-def test_gini_vs_oracle(credit_frames, kind, seed):
-    _assert_kernel_matches_textbook(credit_frames, kind, seed, "gini")
+def test_gini_vs_oracle(kernel_vs_textbook, kind, seed):
+    _assert_kernel_matches_textbook(kernel_vs_textbook, kind, seed, "gini")
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
-def test_entropy_vs_oracle(credit_frames, kind, seed):
-    _assert_kernel_matches_textbook(credit_frames, kind, seed, "entropy")
+def test_entropy_vs_oracle(kernel_vs_textbook, kind, seed):
+    _assert_kernel_matches_textbook(kernel_vs_textbook, kind, seed, "entropy")
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1])
-def test_nakamoto_vs_oracle(credit_frames, kind, seed):
-    _assert_kernel_matches_textbook(credit_frames, kind, seed, "nakamoto")
+def test_nakamoto_vs_oracle(kernel_vs_textbook, kind, seed):
+    _assert_kernel_matches_textbook(kernel_vs_textbook, kind, seed, "nakamoto")
 
 
 def _by_window(pdf):

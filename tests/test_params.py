@@ -92,8 +92,8 @@ def test_btc_day14_anomaly_matches_paper():
 
 
 def test_btc_day14_forced_counts():
-    assert (14, 148) in BITCOIN_2019.forced_day_counts
-    assert (13, 1_980) in BITCOIN_2019.forced_prefix_totals
+    # days 1-13 hold 1,980 blocks and day 14 the paper's 148
+    assert BITCOIN_2019.forced_prefix_totals == ((13, 1_980), (14, 2_128))
 
 
 def test_btc_surge_straddles_day_boundary():

@@ -19,6 +19,7 @@ def year_pdf():
         {
             "ts": days,
             "day_of_year": days.dayofyear,
+            "month": days.month,
             "miner": [f"m{i % 5}" for i in range(len(days))],
         }
     )
