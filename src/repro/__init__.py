@@ -6,9 +6,8 @@ Subpackages:
               (substitute for the paper's Google BigQuery data).
     windows — fixed (day/week/month) and sliding (N, M=N/2) windowing.
     metrics — Gini / Shannon entropy / Nakamoto coefficient, both as
-              numpy references and as Spark DataFrame aggregations.
-    core    — measurement pipeline, summaries, anomaly detection and
-              the T1–T8 table builders.
+              numpy references and as one SQL kernel run by Spark.
+    core    — measurement pipeline and the T1–T8 table builders.
 """
 
 __version__ = "0.1.0"

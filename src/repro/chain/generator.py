@@ -26,10 +26,8 @@ from repro.chain.params import ChainSpec
 
 _SECONDS_PER_DAY = 86_400
 
-#: Spark schema of the ingested chain: integer keys only.
-SPARK_SCHEMA = (
-    "block_number bigint, block_idx bigint, day_of_year int, month int, miner bigint"
-)
+#: Spark schema of the shipped chain: integer keys only (no ``block_number``).
+SPARK_SCHEMA = "block_idx bigint, day_of_year int, month int, miner bigint"
 
 
 def label_id(label: str) -> int:
@@ -209,10 +207,9 @@ def check_producers_pdf(
     """Raise ``ValueError`` unless ``pdf`` is a valid producer-credit relation.
 
     ``codes, labels`` is ``pd.factorize(pdf["miner"])``. Every credit
-    names a miner (no null or empty label), the ``block_idx`` values are
-    exactly ``0 … total_blocks − 1`` (so every block has at least one
-    credit, which the sliding-window arithmetic relies on), and
-    ``block_number == start_block + block_idx``. O(rows) numpy checks.
+    names a miner (no null or empty label), and ``block_idx`` holds exactly
+    ``0 … total_blocks − 1`` (so every block has at least one credit, which
+    the sliding-window arithmetic relies on). O(rows) numpy checks.
     """
     # factorize codes a null as -1, which picks the trailing True
     bad = np.append(labels.to_numpy() == "", True)[codes]
@@ -233,12 +230,6 @@ def check_producers_pdf(
             f"{spec.name}: block_idx is not contiguous: {len(missing)} of "
             f"{total} blocks have no credit, first {int(missing[0])}"
         )
-    off = pdf["block_number"].to_numpy() != spec.start_block + idx
-    if off.any():
-        raise ValueError(
-            f"{spec.name}: block_number != start_block + block_idx "
-            f"at {int(off.sum())} row(s), first at row {int(off.argmax())}"
-        )
 
 
 def block_producers(
@@ -250,10 +241,10 @@ def block_producers(
     :func:`check_producers_pdf` has accepted it, in :data:`SPARK_SCHEMA`:
     ``ts`` is replaced by its calendar ``month``, and ``miner`` by the
     ``bigint`` :func:`label_id` of each label (Spark counts and sorts
-    64-bit keys, and names stay in the pandas frame). Windows read these
-    columns and derive nothing from a timestamp.
-    One factorize serves the check and the encoding, so only the
-    distinct labels are hashed.
+    64-bit keys, and names stay in the pandas frame). A chain-year is a
+    contiguous block range, so Spark derives ``block_number`` as
+    ``start_block + block_idx``. One factorize serves the check and the
+    encoding, so only the distinct labels are hashed.
     Raises ``ValueError`` if two labels share an id.
     """
     pdf = block_producers_pdf(spec, seed=seed)
@@ -267,5 +258,7 @@ def block_producers(
         raise ValueError(
             f"{spec.name}: miner labels {a!r} and {b!r} share label id {clash}"
         )
-    keys = pdf.assign(ts=pdf["ts"].dt.month.astype(np.int32), miner=ids[codes])
-    return spark.createDataFrame(keys.rename(columns={"ts": "month"}), schema=SPARK_SCHEMA)
+    month = pdf["ts"].dt.month.astype(np.int32)
+    keys = pdf[["block_idx", "day_of_year"]].assign(month=month, miner=ids[codes])
+    sdf = spark.createDataFrame(keys, schema=SPARK_SCHEMA)
+    return sdf.select((sdf["block_idx"] + spec.start_block).alias("block_number"), "*")

@@ -124,7 +124,8 @@ def miner_share_series(window_df: DataFrame, miner: str) -> pd.DataFrame:
 
     ``window_df`` must be the windowed producer-credit relation (i.e.
     after ``with_fixed_window`` / ``with_sliding_window``). ``miner`` is
-    a label; the relation is filtered on its ``label_id``.
+    a label; the relation is filtered on its ``label_id``. A label with no
+    credit there (a typo would read as share 0) raises ``ValueError``.
     """
     shares = (
         window_df.groupBy("window_id")
@@ -135,4 +136,7 @@ def miner_share_series(window_df: DataFrame, miner: str) -> pd.DataFrame:
             ).alias("share")
         )
     )
-    return shares.toPandas().sort_values("window_id").reset_index(drop=True)
+    pdf = shares.toPandas().sort_values("window_id").reset_index(drop=True)
+    if not pdf["share"].any():
+        raise ValueError(f"miner {miner!r} has no credit in the relation")
+    return pdf

@@ -21,7 +21,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, Row, SparkSession
 from pyspark.sql import functions as F
 
-from repro.chain.params import BITCOIN_2019, ETHEREUM_2019
+from repro.chain.params import BITCOIN_2019, ETHEREUM_2019, ChainSpec
 from repro.core import pipeline
 from repro.windows.fixed import FIXED_GRANULARITIES, with_fixed_window
 from repro.windows.sliding import num_windows, with_sliding_window
@@ -169,16 +169,19 @@ _ETH_SLIDING_MEANS = {
 }
 
 
+def _sliding_mean_rows(spark: SparkSession, spec: ChainSpec, paper_means: dict) -> list:
+    """One "sliding {metric} mean, N=…" row per metric and granularity."""
+    return [
+        (f"sliding {metric} mean, N={spec.sliding_sizes[g]}",
+         f"{paper_means[metric][g]:.3f}",
+         float(pipeline.sliding_series(spark, spec, g)[metric].mean()))
+        for metric in ("entropy", "gini") for g in FIXED_GRANULARITIES
+    ]
+
+
 def table4_btc_sliding(spark: SparkSession) -> pd.DataFrame:
     """T4 — Bitcoin with sliding windows (§III.B, Figs. 9, 11, 13)."""
-    rows = []
-    for metric in ("entropy", "gini"):
-        for g in FIXED_GRANULARITIES:
-            s = pipeline.sliding_series(spark, BITCOIN_2019, g)
-            rows.append(
-                (f"sliding {metric} mean, N={BITCOIN_2019.sliding_sizes[g]}",
-                 f"{_BTC_SLIDING_MEANS[metric][g]:.3f}", float(s[metric].mean()))
-            )
+    rows = _sliding_mean_rows(spark, BITCOIN_2019, _BTC_SLIDING_MEANS)
     sday = pipeline.sliding_series(spark, BITCOIN_2019, "day")
     fday = pipeline.fixed_series(spark, BITCOIN_2019, "day")
     rows += [
@@ -198,14 +201,7 @@ def table4_btc_sliding(spark: SparkSession) -> pd.DataFrame:
 
 def table5_eth_sliding(spark: SparkSession) -> pd.DataFrame:
     """T5 — Ethereum with sliding windows (§III.B, Figs. 10, 12, 14)."""
-    rows = []
-    for metric in ("entropy", "gini"):
-        for g in FIXED_GRANULARITIES:
-            s = pipeline.sliding_series(spark, ETHEREUM_2019, g)
-            rows.append(
-                (f"sliding {metric} mean, N={ETHEREUM_2019.sliding_sizes[g]}",
-                 f"{_ETH_SLIDING_MEANS[metric][g]:.3f}", float(s[metric].mean()))
-            )
+    rows = _sliding_mean_rows(spark, ETHEREUM_2019, _ETH_SLIDING_MEANS)
     sday = pipeline.sliding_series(spark, ETHEREUM_2019, "day")
     fday = pipeline.fixed_series(spark, ETHEREUM_2019, "day")
     rows += [

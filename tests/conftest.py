@@ -62,6 +62,14 @@ def eth_spec() -> ChainSpec:
 
 
 @pytest.fixture(scope="session")
+def btc_pdf(btc_spec):
+    """The BTC chain's pandas frame (``block_producers_pdf``): names and ``ts``."""
+    from repro.chain.generator import block_producers_pdf
+
+    return block_producers_pdf(btc_spec)
+
+
+@pytest.fixture(scope="session")
 def tiny_df(spark, tiny_spec):
     """Persisted producer-credit DataFrame for the tiny chain."""
     from repro.core import pipeline

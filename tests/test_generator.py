@@ -166,11 +166,6 @@ def tiny_pdf():
     return block_producers_pdf(TINY_2019)
 
 
-@pytest.fixture(scope="module")
-def btc_pdf():
-    return block_producers_pdf(BITCOIN_2019)
-
-
 def test_pdf_block_count_and_range(btc_pdf):
     assert btc_pdf.block_number.nunique() == 54_231
     assert btc_pdf.block_number.min() == 556_459

@@ -72,7 +72,12 @@ def test_producers_one_partition_per_core(spark, tiny_spec):
 # ---------------------------------------------------------------------------
 
 def _ingest_broken(spark, spec, monkeypatch, edit):
-    """Ingest ``spec``'s chain after ``edit`` has broken its pandas frame."""
+    """Ingest ``spec``'s chain after ``edit`` has broken its pandas frame.
+
+    The producer cache is emptied for this call only, so a broken frame
+    that failed to raise is never served to a later test (and the session
+    fixtures' chains stay persisted).
+    """
     orig = generator.block_producers_pdf
 
     def broken(spec, seed=None):
@@ -81,7 +86,8 @@ def _ingest_broken(spark, spec, monkeypatch, edit):
         return pdf
 
     monkeypatch.setattr(generator, "block_producers_pdf", broken)
-    return pipeline.producers(spark, spec, seed=4_040)  # uncached: calls the generator
+    monkeypatch.setattr(pipeline, "_PRODUCER_CACHE", {})
+    return pipeline.producers(spark, spec, seed=4_040)
 
 
 @pytest.mark.parametrize("label", [None, ""], ids=["null", "empty"])
@@ -98,7 +104,7 @@ def _drop_block(pdf, block):
 
 
 def _block_past_end(pdf):
-    pdf.loc[pdf.index[-1], ["block_idx", "block_number"]] += 1
+    pdf.loc[pdf.index[-1], "block_idx"] += 1
 
 
 @pytest.mark.parametrize(
@@ -112,14 +118,6 @@ def _block_past_end(pdf):
 )
 def test_producers_reject_noncontiguous_block_idx(spark, tiny_spec, monkeypatch, edit, match):
     with pytest.raises(ValueError, match=match):
-        _ingest_broken(spark, tiny_spec, monkeypatch, edit)
-
-
-def test_producers_reject_block_number_off_start(spark, tiny_spec, monkeypatch):
-    def edit(pdf):
-        pdf.loc[5, "block_number"] += 1
-
-    with pytest.raises(ValueError, match=r"block_number != start_block \+ block_idx at 1 row"):
         _ingest_broken(spark, tiny_spec, monkeypatch, edit)
 
 
@@ -225,6 +223,14 @@ def test_miner_share_sums_to_one_over_all_miners(spark, tiny_df, tiny_spec):
     )
     assert len(labels) > 1
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_miner_share_rejects_label_without_credit(tiny_df, tiny_spec):
+    """A misspelt label has no credit: it raises instead of reading as a
+    share of 0 in every window."""
+    typo = tiny_spec.surges[0].miner.lower()
+    with pytest.raises(ValueError, match=f"miner {typo!r} has no credit"):
+        pipeline.miner_share_series(with_fixed_window(tiny_df, "day"), typo)
 
 
 # ---------------------------------------------------------------------------

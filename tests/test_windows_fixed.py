@@ -51,19 +51,23 @@ def test_week_window_count(year_sdf):
     assert out.select("window_id").distinct().count() == 53
 
 
-def test_month_window_is_calendar_month(year_sdf, year_pdf):
-    out = with_fixed_window(year_sdf, "month").select("day_of_year", "window_id").toPandas()
-    got = out.set_index("day_of_year")["window_id"].sort_index()
-    want = year_pdf.set_index("day_of_year")["ts"].dt.month.sort_index()
+def test_month_window_is_calendar_month(btc_df, btc_pdf):
+    """On the generated BTC chain, each day of 2019 falls in one month
+    window: the calendar month of its pandas ``ts``."""
+    out = with_fixed_window(btc_df, "month").select("day_of_year", "window_id")
+    got = out.distinct().toPandas().set_index("day_of_year")["window_id"].sort_index()
+    want = btc_pdf.groupby("day_of_year")["ts"].first().dt.month
     assert got.tolist() == want.tolist()
+    assert len(got) == 365
     assert got.nunique() == 12
 
 
 @pytest.mark.parametrize("granularity", FIXED_GRANULARITIES)
-def test_fixed_window_counts_vs_oracle(year_sdf, year_pdf, granularity):
-    """Window assignment + per-window counts must match DuckDB date math."""
+def test_fixed_window_counts_vs_oracle(btc_df, btc_pdf, granularity):
+    """Window assignment + per-window counts on the generated BTC chain
+    must match DuckDB date math on its pandas ``ts``."""
     out = (
-        with_fixed_window(year_sdf, granularity)
+        with_fixed_window(btc_df, granularity)
         .groupBy("window_id")
         .agg(F.count("*").alias("cnt"))
     )
@@ -73,7 +77,7 @@ def test_fixed_window_counts_vs_oracle(year_sdf, year_pdf, granularity):
         "month": "month(ts)",
     }[granularity]
     sql = f"SELECT {duck_window} AS window_id, count(*) AS cnt FROM bp GROUP BY 1"
-    assert_equivalent(out, sql, bp=year_pdf)
+    assert_equivalent(out, sql, bp=btc_pdf)
 
 
 def test_every_credit_lands_in_exactly_one_window(year_sdf):
