@@ -76,7 +76,7 @@ def producers(
 def measure_fixed(df: DataFrame, granularity: str) -> DataFrame:
     """Per-window metrics over fixed day/week/month windows."""
     windowed = with_fixed_window(df, granularity)
-    return decentralization_by_window(windowed, "window_id")
+    return decentralization_by_window(windowed)
 
 
 def measure_sliding(df: DataFrame, spec: ChainSpec, granularity: str) -> DataFrame:
@@ -88,7 +88,7 @@ def measure_sliding(df: DataFrame, spec: ChainSpec, granularity: str) -> DataFra
     windowed = with_sliding_window(
         df, spec.total_blocks, spec.sliding_sizes[granularity]
     )
-    return decentralization_by_window(windowed, "window_id")
+    return decentralization_by_window(windowed)
 
 
 def collect_series(measured: DataFrame) -> pd.DataFrame:

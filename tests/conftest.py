@@ -6,6 +6,9 @@ unit tests; the full calibrated BTC/ETH specs are exercised by the
 table tests.
 """
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.chain.params import (
@@ -44,6 +47,15 @@ TINY_2019 = ChainSpec(
     forced_prefix_totals=((6, 300), (7, 352)),
     seed=99,
 )
+
+
+def load_tracing():
+    """``layerbench/tracing.py`` as a module (``layerbench`` is no package)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "layerbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("layerbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,9 @@ two frames already collected.
 
 ``textbook_metrics_sql(table)`` is the paper's Eqs. 1–4 written out as
 they read, over a ``(window_id, miner)`` credit table. It shares no text
-with ``repro.metrics.sql.kernel_sql`` (rank identity, log-rearranged
-entropy, ascending suffix sums), so the two agree only if the kernel's
-algebra is right.
+with ``repro.metrics.spark_metrics.KERNEL_SQL`` (rank identity,
+log-rearranged entropy, ascending suffix sums), so the two agree only if
+the kernel's algebra is right.
 """
 import duckdb
 import pandas as pd

@@ -1,31 +1,21 @@
 """The library names and call shapes the layered benchmark relies on.
 
 ``layerbench/run.py`` calls the library directly and ``layerbench/tracing.py``
-patches nine of its names. A refactor that renames one of them, or changes
+patches eleven of its names: five layer names, plus ``with_*_window`` in
+three modules each. A refactor that renames one of them, or changes
 a signature the benchmark calls, breaks the benchmark only when it runs;
 these checks catch it in the unit suite. No Spark session is started.
 """
 
-import importlib.util
 import inspect
-import pathlib
 
 from repro.chain import generator
 from repro.core import pipeline, tables
 from repro.metrics import spark_metrics
 from repro.windows import fixed, sliding
+from tests.conftest import load_tracing
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = (generator, pipeline, tables, spark_metrics, fixed, sliding)
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location(
-        "layerbench_tracing", ROOT / "layerbench" / "tracing.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _public_attrs():
@@ -38,7 +28,7 @@ def _public_attrs():
 
 
 def test_tracer_patches_and_restores_every_layer_name():
-    tracing = _load_tracing()
+    tracing = load_tracing()
     before = _public_attrs()
     tables_before = dict(tables.ALL_TABLES)
     with tracing.Tracer(None).installed():

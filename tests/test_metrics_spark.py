@@ -59,7 +59,7 @@ def credit_frames(spark):
 def test_all_metrics_match_reference(credit_frames, kind, seed):
     pdf, sdf = credit_frames[(kind, seed)]
     got = (
-        decentralization_by_window(sdf, "window_id")
+        decentralization_by_window(sdf)
         .toPandas()
         .set_index("window_id")
         .sort_index()
@@ -93,7 +93,7 @@ def kernel_vs_textbook(credit_frames):
     comparisons below."""
     out = {}
     for key, (pdf, sdf) in credit_frames.items():
-        kernel = decentralization_by_window(sdf, "window_id")
+        kernel = decentralization_by_window(sdf)
         with duckdb.connect() as con:
             con.register("bp", pdf)
             textbook = con.execute(textbook_metrics_sql("bp")).fetchdf()
@@ -115,7 +115,7 @@ def _assert_kernel_matches_textbook(kernel_vs_textbook, kind, seed, *cols):
 def test_counts_vs_oracle(credit_frames, kernel_vs_textbook, kind, seed):
     pdf, sdf = credit_frames[(kind, seed)]
     assert_equivalent(
-        per_window_counts(sdf, "window_id"),
+        per_window_counts(sdf),
         "SELECT window_id, miner, count(*) AS cnt FROM bp GROUP BY window_id, miner",
         bp=pdf,
     )
@@ -145,41 +145,24 @@ def _by_window(pdf):
     return pdf.sort_values("window_id").reset_index(drop=True)
 
 
-def _textbook_on_spark(spark, sdf):
-    """The textbook query, planned and run by Spark SQL over ``sdf``."""
-    return _by_window(spark.sql(textbook_metrics_sql("{bp}"), bp=sdf).toPandas())
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_single_metric_helpers_agree_with_combined(spark, credit_frames, kind):
     """Each metric from its own textbook subquery (self-join Gini, share
-    entropy, running-sum Nakamoto), run by Spark instead of DuckDB, agrees
-    with the combined kernel in every window."""
+    entropy, running-sum Nakamoto), run by Spark SQL instead of DuckDB,
+    equals the combined kernel, whose counts come from the DataFrame
+    aggregation, in every window, column and dtype."""
     _, sdf = credit_frames[(kind, 0)]
-    combined = _by_window(decentralization_by_window(sdf, "window_id").toPandas())
-    single = _textbook_on_spark(spark, sdf)
-    assert list(combined["window_id"]) == list(single["window_id"])
-    for metric in ("gini", "entropy"):
-        assert np.abs(combined[metric] - single[metric]).max() <= FLOAT_ATOL
-    assert list(combined["nakamoto"]) == list(single["nakamoto"])
-
-
-def test_spark_sql_text_runs_on_spark_too(spark, credit_frames):
-    """The oracle's whole query runs on Spark SQL and equals the kernel,
-    whose counts come from the DataFrame aggregation, in every column and
-    dtype."""
-    _, sdf = credit_frames[("zipf", 0)]
-    via_sql = _textbook_on_spark(spark, sdf)
-    via_df = _by_window(decentralization_by_window(sdf, "window_id").toPandas())
-    assert len(via_df) == sdf.select("window_id").distinct().count()
-    pd.testing.assert_frame_equal(via_sql, via_df, check_exact=False, rtol=0, atol=FLOAT_ATOL)
+    combined = _by_window(decentralization_by_window(sdf).toPandas())
+    single = _by_window(spark.sql(textbook_metrics_sql("{bp}"), bp=sdf).toPandas())
+    assert len(combined) == sdf.select("window_id").distinct().count()
+    pd.testing.assert_frame_equal(single, combined, check_exact=False, rtol=0, atol=FLOAT_ATOL)
 
 
 def test_kernel_leaves_no_temp_views(spark, credit_frames):
     """The kernel's counts view is dropped when the call returns, and the
     returned frames still run afterwards."""
     before = spark.catalog.listTables()
-    results = [decentralization_by_window(credit_frames[(kind, 0)][1], "window_id")
+    results = [decentralization_by_window(credit_frames[(kind, 0)][1])
                for kind in ("zipf", "uniform")]
     assert spark.catalog.listTables() == before
     assert all(len(r.collect()) == 6 for r in results)
@@ -194,7 +177,7 @@ def _kernel_rows(spark, dists):
     """Combined-kernel output for windows given as {miner: count} dicts."""
     rows = [(w, m) for w, dist in enumerate(dists) for m, c in dist.items() for _ in range(c)]
     sdf = spark.createDataFrame(pd.DataFrame(rows, columns=["window_id", "miner"]))
-    got = decentralization_by_window(sdf, "window_id").toPandas()
+    got = decentralization_by_window(sdf).toPandas()
     return got.set_index("window_id").sort_index()
 
 
@@ -269,7 +252,7 @@ def test_metrics_on_synth_data_keys(spark):
 
     def measure(keys):
         pdf = pd.DataFrame({"window_id": 0, "miner": keys.astype(str)})
-        return decentralization_by_window(spark.createDataFrame(pdf), "window_id").collect()[0]
+        return decentralization_by_window(spark.createDataFrame(pdf)).collect()[0]
 
     gz, gu = measure(zipf), measure(uniform)
     assert gz["gini"] > gu["gini"] + 0.1

@@ -12,6 +12,7 @@ from repro.core import pipeline
 from repro.metrics.reference import gini, nakamoto, shannon_entropy
 from repro.windows.fixed import with_fixed_window
 from repro.windows.sliding import num_windows, with_sliding_window
+from tests.conftest import load_tracing
 
 
 def test_producers_cached_identity(spark, tiny_spec, tiny_df):
@@ -237,27 +238,11 @@ def test_miner_share_rejects_label_without_credit(tiny_df, tiny_spec):
 # executed plan: one count shuffle, one window sort, one input read
 # ---------------------------------------------------------------------------
 
-def _final_plan_node_names(jplan):
-    """Class names of every node in the final AQE plan: descends into
-    query stages, but not into reused exchanges (they ran elsewhere)."""
-    stack = [jplan]
-    while stack:
-        node = stack.pop()
-        name = node.getClass().getSimpleName()
-        yield name
-        if name == "AdaptiveSparkPlanExec":
-            stack.append(node.executedPlan())
-        elif name.endswith("QueryStageExec"):
-            stack.append(node.plan())
-        elif name != "ReusedExchangeExec":
-            children = node.children()
-            stack.extend(children.apply(i) for i in range(children.size()))
-
-
 def test_sliding_plan_sorts_once_and_reads_input_once(tiny_df, tiny_spec):
     measured = pipeline.measure_sliding(tiny_df, tiny_spec, "day")
     measured.collect()  # the final AQE plan exists only after execution
-    nodes = Counter(_final_plan_node_names(measured._jdf.queryExecution().executedPlan()))
+    jplan = measured._jdf.queryExecution().executedPlan()
+    nodes = Counter(name for name, _ in load_tracing().final_plan_nodes(jplan))
     assert nodes["ShuffleExchangeExec"] == 2
     assert nodes["SortExec"] == 1
     assert nodes["GenerateExec"] == 1

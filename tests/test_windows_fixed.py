@@ -5,8 +5,6 @@ import pytest
 import pytz
 from pyspark.sql import functions as F
 
-from repro.chain.generator import block_producers, block_producers_pdf
-from repro.core.pipeline import collect_series, measure_fixed
 from repro.windows.fixed import FIXED_GRANULARITIES, with_fixed_window
 from tests.oracle import assert_equivalent
 
@@ -108,26 +106,6 @@ def session_zone(spark):
         yield lambda zone: spark.conf.set("spark.sql.session.timeZone", zone)
     finally:
         spark.conf.set("spark.sql.session.timeZone", before)
-
-
-@pytest.mark.parametrize("spec_fixture", ["tiny_spec", "btc_spec"])
-def test_month_series_independent_of_session_time_zone(
-    spark, request, session_zone, spec_fixture
-):
-    """Ingested and measured under each zone, the month series is the same,
-    and its credits per month are pandas' ``ts.dt.month`` counts. Day and
-    week windows read ``day_of_year``, so the month is the only series a
-    zone could move."""
-    spec = request.getfixturevalue(spec_fixture)
-    series = {}
-    for zone in ("UTC", "America/Los_Angeles", "Asia/Kolkata"):
-        session_zone(zone)
-        series[zone] = collect_series(measure_fixed(block_producers(spark, spec), "month"))
-    for zone, got in series.items():
-        pd.testing.assert_frame_equal(got, series["UTC"], check_exact=True, obj=zone)
-    months = block_producers_pdf(spec)["ts"].dt.month.value_counts().sort_index()
-    assert series["UTC"]["window_id"].tolist() == months.index.tolist()
-    assert series["UTC"]["n_credits"].tolist() == months.tolist()
 
 
 def test_failed_arrow_ingest_raises(spark, session_zone):
