@@ -8,7 +8,7 @@ import sys
 # loads this file before any test module. 4g is the benchmark's value.
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+    "--master local[*] "
     f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '4g')} "
     f"--conf spark.driver.host=127.0.0.1 "
     "pyspark-shell",

@@ -1,10 +1,9 @@
-"""Legacy setup shim for offline editable installs.
+"""Legacy setup shim; all real metadata lives in pyproject.toml.
 
-This container has no network. ``pip install -e .`` works because the
-user pip config (``~/.config/pip/pip.conf``) points ``find-links`` at
-``/root/pip-wheels`` where the build dependencies (setuptools, wheel)
-are staged; this shim additionally keeps the legacy setup.py path
-available as a fallback. All real metadata lives in pyproject.toml.
+Installing is not needed to run the code: ``export PYTHONPATH=src`` from
+the repository root, as the test command in ROADMAP.md does. An install
+(``pip install -e .``) needs ``setuptools>=64`` and ``wheel`` available
+to pip, which an offline machine may not have.
 """
 
 from setuptools import setup

@@ -22,7 +22,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.chain.anomalies import apply_surges, resolve_coinbase_anomalies
-from repro.chain.params import ChainSpec
+from repro.chain.params import SHARE_NOISE_SIGMA, YEAR, ChainSpec
 
 _SECONDS_PER_DAY = 86_400
 
@@ -157,7 +157,7 @@ def block_producers_pdf(spec: ChainSpec, seed: int | None = None) -> pd.DataFram
     for day in range(1, spec.n_days + 1):
         c = int(counts[day - 1])
         p = day_probabilities(spec, day, pool_index, n_ids, medium_offset, sparse_offset)
-        p = p * rng.lognormal(0.0, spec.share_noise_sigma, n_ids)
+        p = p * rng.lognormal(0.0, SHARE_NOISE_SIGMA, n_ids)
         p /= p.sum()
         miner_idx[pos : pos + c] = rng.choice(n_ids, size=c, p=p)
         sec_of_day[pos : pos + c] = (
@@ -186,7 +186,7 @@ def block_producers_pdf(spec: ChainSpec, seed: int | None = None) -> pd.DataFram
         ]
 
     ts = (
-        pd.Timestamp(f"{spec.year}-01-01").value
+        pd.Timestamp(f"{YEAR}-01-01").value
         + ((day_of_block[rep].astype(np.int64) - 1) * _SECONDS_PER_DAY + sec_of_day[rep])
         * 1_000_000_000
     )

@@ -29,6 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: The calendar year every chain spec covers (the paper measures 2019).
+YEAR = 2019
+
+#: σ of the per-day lognormal noise on every miner's share, for every chain.
+SHARE_NOISE_SIGMA = 0.05
+
 
 @dataclass(frozen=True)
 class TailSpec:
@@ -92,16 +98,14 @@ class DominantSurge:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Full generator specification for one chain-year."""
+    """Full generator specification for one chain over the year :data:`YEAR`."""
 
     name: str
-    year: int
     n_days: int
     start_block: int
     total_blocks: int
     blocks_per_day_sd: float
     regimes: tuple[Regime, ...]
-    share_noise_sigma: float
     sliding_sizes: dict[str, int] = field(default_factory=dict)
     coinbase_anomalies: tuple[CoinbaseAnomaly, ...] = ()
     surges: tuple[DominantSurge, ...] = ()
@@ -182,7 +186,6 @@ _BTC_DAY14_POS_B = 558_545 - 556_459 - 1_980  # = 106
 
 BITCOIN_2019 = ChainSpec(
     name="bitcoin",
-    year=2019,
     n_days=365,
     start_block=556_459,
     total_blocks=54_231,
@@ -198,7 +201,6 @@ BITCOIN_2019 = ChainSpec(
                medium=TailSpec(0.13, 12, 0.3),
                sparse=TailSpec(0.03, 2_500, 1.25)),
     ),
-    share_noise_sigma=0.05,
     sliding_sizes={"day": 144, "week": 1_008, "month": 4_320},
     coinbase_anomalies=(
         CoinbaseAnomaly(5, (45,)),
@@ -235,7 +237,6 @@ _ETH_POOLS = (
 
 ETHEREUM_2019 = ChainSpec(
     name="ethereum",
-    year=2019,
     n_days=365,
     start_block=6_988_615,
     total_blocks=2_204_650,
@@ -245,7 +246,6 @@ ETHEREUM_2019 = ChainSpec(
                medium=TailSpec(0.10, 37, 0.4),
                sparse=TailSpec(0.023, 3_500, 2.0)),
     ),
-    share_noise_sigma=0.05,
     sliding_sizes={"day": 6_000, "week": 42_000, "month": 180_000},
     seed=1559,
 )

@@ -26,7 +26,6 @@ TINY_POOLS_B = (("PoolA", 0.35), ("PoolB", 0.25), ("PoolC", 0.15), ("PoolD", 0.1
 
 TINY_2019 = ChainSpec(
     name="tinychain",
-    year=2019,
     n_days=30,
     start_block=1_000,
     total_blocks=1_500,
@@ -39,7 +38,6 @@ TINY_2019 = ChainSpec(
                medium=TailSpec(0.05, 4, 0.3),
                sparse=TailSpec(0.01, 40, 1.2)),
     ),
-    share_noise_sigma=0.05,
     sliding_sizes={"day": 50, "week": 150, "month": 600},
     coinbase_anomalies=(CoinbaseAnomaly(7, (12, 15)),),
     surges=(DominantSurge(start_day=20, blocks_before_boundary=25, length=50,

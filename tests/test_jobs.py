@@ -38,8 +38,7 @@ def test_help_lists_table_option():
 def test_session_takes_master_from_submit_args():
     """``get_session`` keeps the master of the submit arguments, and turns
     off Arrow's silent fallback to row-by-row conversion."""
-    env = {k: v for k, v in os.environ.items() if k != "SPARK_MASTER"}
-    env["PYTHONPATH"] = str(ROOT / "jobs")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "jobs")}
     env["PYSPARK_SUBMIT_ARGS"] = (
         "--master local[1] --driver-memory 1g "
         "--conf spark.driver.host=127.0.0.1 pyspark-shell"

@@ -1,12 +1,14 @@
 """The library holds only the dataflow: no module under ``src/repro``
-imports test tooling, and every module is reached from the table builders
-or the numpy reference. Parses the source with ``ast``; starts no Spark."""
+imports test tooling or reads the environment, and every module is reached
+from the table builders or the numpy reference. Parses the source with
+``ast``; starts no Spark."""
 
 import ast
 import pathlib
 
 LIBRARY = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 TEST_TOOLING = {"duckdb", "pytest", "hypothesis"}
+ENV_READERS = {"environ", "getenv"}
 # T1–T8, and the reference that the benchmark and the tests check against.
 ROOTS = ("repro.core.tables", "repro.metrics.reference")
 
@@ -29,6 +31,27 @@ def test_library_imports_no_test_tooling():
         for path in modules
         if (hits := TEST_TOOLING
             & {n.split(".")[0] for n in _imported_names(ast.parse(path.read_text()))})
+    }
+    assert found == {}
+
+
+def _env_reads(tree: ast.AST):
+    """Line numbers of ``os.environ`` / ``os.getenv``, as attributes or imports."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENV_READERS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and ENV_READERS & {alias.name for alias in node.names}):
+            yield node.lineno
+
+
+def test_library_reads_no_environment_variable():
+    """Every setting is a constant or a call argument, never a hidden option."""
+    found = {
+        str(path.relative_to(LIBRARY.parent)): lines
+        for path in sorted(LIBRARY.rglob("*.py"))
+        if (lines := sorted(_env_reads(ast.parse(path.read_text()))))
     }
     assert found == {}
 

@@ -75,11 +75,13 @@ def blocks_sdf(spark):
     return spark.createDataFrame(pdf)
 
 
-@pytest.mark.parametrize("n,m", [(10, 5), (10, 10), (10, 2), (7, 3), (100, 50), (30, 29)])
+@pytest.mark.parametrize("n,m", [(10, 5), (7, 3), (100, 50)])
 def test_membership_matches_brute_force(blocks_sdf, n, m):
+    """``m = n // 2``, the step the function uses; odd ``n = 7`` puts
+    block 6 in three windows (0, 1 and 2)."""
     total = 100
     out = (
-        with_sliding_window(blocks_sdf, total, n, step=m)
+        with_sliding_window(blocks_sdf, total, n)
         .groupBy("block_idx")
         .agg(F.collect_set("window_id").alias("wins"))
         .toPandas()
@@ -91,10 +93,10 @@ def test_membership_matches_brute_force(blocks_sdf, n, m):
         assert got == expected, f"block {b} N={n} M={m}"
 
 
-@pytest.mark.parametrize("n,m", [(10, 5), (20, 10), (10, 2)])
+@pytest.mark.parametrize("n,m", [(10, 5), (20, 10)])
 def test_every_window_has_exactly_n_blocks(blocks_sdf, n, m):
     out = (
-        with_sliding_window(blocks_sdf, 100, n, step=m)
+        with_sliding_window(blocks_sdf, 100, n)
         .groupBy("window_id")
         .count()
         .toPandas()
@@ -104,24 +106,23 @@ def test_every_window_has_exactly_n_blocks(blocks_sdf, n, m):
 
 
 def test_default_step_is_half_window(blocks_sdf):
-    out = with_sliding_window(blocks_sdf, 100, 20)  # step defaults to 10
+    out = with_sliding_window(blocks_sdf, 100, 20)  # step 10
     assert out.select("window_id").distinct().count() == num_windows(100, 20, 10)
 
 
 def test_consecutive_windows_overlap_n_minus_m(blocks_sdf):
     """Paper Fig. 8: consecutive windows share N − M blocks."""
-    n, m = 20, 8
-    out = with_sliding_window(blocks_sdf, 100, n, step=m).toPandas()
+    n, m = 20, 10
+    out = with_sliding_window(blocks_sdf, 100, n).toPandas()
     by_win = out.groupby("window_id")["block_idx"].apply(set)
     for i in range(len(by_win) - 1):
         assert len(by_win[i] & by_win[i + 1]) == n - m
 
 
 def test_half_step_doubles_measurements_vs_tumbling(blocks_sdf):
-    half = with_sliding_window(blocks_sdf, 100, 20, step=10)
-    tumbling = with_sliding_window(blocks_sdf, 100, 20, step=20)
+    half = with_sliding_window(blocks_sdf, 100, 20)
     n_half = half.select("window_id").distinct().count()
-    n_tumbling = tumbling.select("window_id").distinct().count()
+    n_tumbling = 100 // 20
     assert n_half == 2 * n_tumbling - 1  # 9 vs 5
 
 
@@ -130,7 +131,7 @@ def test_trailing_blocks_produce_no_rows(spark):
     descending bogus sequence (the lo > hi guard)."""
     pdf = pd.DataFrame({"block_idx": range(11), "miner": ["m"] * 11})
     sdf = spark.createDataFrame(pdf)
-    out = with_sliding_window(sdf, 11, 4, step=2).toPandas()
+    out = with_sliding_window(sdf, 11, 4).toPandas()
     # L = (11-4)//2+1 = 4; windows cover [0,10); block 10 is member of none
     assert set(out["window_id"].unique()) == {0, 1, 2, 3}
     assert 10 not in set(out["block_idx"])
@@ -142,10 +143,10 @@ def test_stream_shorter_than_window_rejected(blocks_sdf):
         with_sliding_window(blocks_sdf, 5, 10)
 
 
-def test_step_larger_than_window_rejected(blocks_sdf):
-    """Blocks between windows would belong to none: refuse, do not skip."""
-    with pytest.raises(ValueError, match="step 11 > window size 10"):
-        with_sliding_window(blocks_sdf, 100, 10, step=11)
+def test_window_under_two_blocks_rejected(blocks_sdf):
+    """A 1-block window has step 1 // 2 = 0: refuse, do not divide by 0."""
+    with pytest.raises(ValueError, match="window_size 1 and step 0 must be positive"):
+        with_sliding_window(blocks_sdf, 100, 1)
 
 
 def test_explode_factor_is_at_most_two_for_half_step(tiny_df, tiny_spec):
